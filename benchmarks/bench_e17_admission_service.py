@@ -50,8 +50,8 @@ def _requests(tenants: int, campaigns: int, fleet_size: int) -> List[SubmitCampa
 def _digest(result: CampaignResult):
     """Canonical comparison key: everything deterministic about a result.
 
-    Cache hit/miss counters and shard telemetry legitimately differ when a
-    shared store pre-warms the analysis cache — the verdicts never do.
+    Cache hit/miss counters legitimately differ when a shared store
+    pre-warms the analysis cache — the verdicts never do.
     """
     return (result.fleet_size, result.batched, result.admitted,
             result.rejected, result.deviating, result.refined,
@@ -90,7 +90,7 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
                         rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
-                        feedback_seed=request.seed, workers=request.workers,
+                        feedback_seed=request.seed,
                         batch_kernel=request.batch_kernel)
     return campaign.run()
 

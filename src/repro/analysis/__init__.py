@@ -50,7 +50,6 @@ from repro.analysis.safety import SafetyAnalysis, SafetyFinding
 from repro.analysis.cache import (
     AnalysisCache,
     CachedResponseTimeAnalysis,
-    SnapshotError,
     fingerprint_taskset,
     taskset_key,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "SafetyFinding",
     "AnalysisCache",
     "CachedResponseTimeAnalysis",
-    "SnapshotError",
     "SegmentStore",
     "StoreCorruptionError",
     "is_segment_store",

@@ -33,30 +33,12 @@ analyses.
 from __future__ import annotations
 
 import hashlib
-import logging
-import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.cache_store import SegmentStore, is_segment_store
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.platform.tasks import TaskSet
-
-logger = logging.getLogger(__name__)
-
-
-class SnapshotError(ValueError):
-    """A cache snapshot exists but cannot be read (corrupt or foreign).
-
-    Deliberately distinct from a *missing* snapshot: a missing file is the
-    normal cold-start case (``missing_ok=True`` covers it), while a corrupt
-    one means previously persisted analyses are being silently lost — that
-    must surface loudly unless the caller explicitly opts into
-    ``repair=True``.
-    """
 
 
 def taskset_key(taskset: TaskSet, speed_factor: float = 1.0,
@@ -106,11 +88,10 @@ class AnalysisCache:
     unchanged part of its predecessor.
 
     Because entries are content-addressed they are also *portable*:
-    :meth:`save_snapshot` / :meth:`load_snapshot` persist them across
-    processes and runs (the sharded campaign engine warm-starts its workers
-    and its re-runs this way), and :meth:`export_entries` /
-    :meth:`merge_entries` move them between live caches.  Pickling a cache
-    object itself deliberately ships it *empty* (see :meth:`__getstate__`).
+    :meth:`export_entries` / :meth:`merge_entries` move them between live
+    caches and through a :class:`~repro.analysis.cache_store.SegmentStore`,
+    which persists them across processes and runs.  Pickling a cache object
+    itself deliberately ships it *empty* (see :meth:`__getstate__`).
     """
 
     def __init__(self, max_entries: int = 4096,
@@ -127,11 +108,10 @@ class AnalysisCache:
         self.misses = 0
         self.evictions = 0
         #: Optional :class:`~repro.observability.tracer.CampaignTracer` this
-        #: cache reports lookup/merge/snapshot events into (set by the
-        #: campaign engine when tracing is on).  Pure observation — never
-        #: consulted for any decision — and deliberately not pickled:
-        #: :meth:`__getstate__` ships capacity only, so a cache arriving in
-        #: a shard worker never drags a parent-process tracer along.
+        #: cache reports lookup/merge events into (set by the campaign when
+        #: tracing is on).  Pure observation — never consulted for any
+        #: decision — and deliberately not pickled: :meth:`__getstate__`
+        #: ships capacity only.
         self.tracer = None
 
     @property
@@ -250,32 +230,20 @@ class AnalysisCache:
 
     # -- cross-process / cross-run persistence -----------------------------
     #
-    # Entries are content-addressed on :func:`taskset_key`, so a snapshot is
-    # valid in any process and at any later time: a key either describes the
-    # exact same analysis input (same memoized result) or it will simply
-    # never be looked up.  Snapshots carry *entries only* — counters and the
+    # Entries are content-addressed on :func:`taskset_key`, so a persisted
+    # entry is valid in any process and at any later time: a key either
+    # describes the exact same analysis input (same memoized result) or it
+    # will simply never be looked up.  Only entries move — counters and the
     # incremental engine's delta history are execution state, not content.
-
-    _SNAPSHOT_FORMAT = 1
-
-    def keys(self) -> List[Tuple]:
-        """The stored :func:`taskset_key` tuples in LRU order.
-
-        A cheap enumeration (no result copies) for callers that only need
-        to know *what* is cached — e.g. a shard worker snapshotting its
-        warm-start set before a wave so it can export the delta afterwards.
-        """
-        return list(self._store.keys())
 
     def export_entries(self, exclude: Optional[Iterable[Tuple]] = None
                        ) -> List[Tuple[Tuple, Dict[str, ResponseTimeResult]]]:
         """The stored entries as ``(taskset_key, results)`` pairs in LRU
         order (least recently used first), minus the keys in ``exclude``.
 
-        Shard workers use the ``exclude`` filter to return only the analyses
-        they actually derived (everything beyond the warm-start snapshot
-        they were seeded with), keeping the fan-in payload proportional to
-        the new work instead of the whole store.
+        The campaign engine uses the ``exclude`` filter to append only the
+        analyses not yet in its segment store, keeping each append
+        proportional to the new work instead of the whole cache.
         """
         excluded = set(exclude) if exclude is not None else ()
         return [(key, dict(results)) for key, results in self._store.items()
@@ -283,7 +251,7 @@ class AnalysisCache:
 
     def merge_entries(self, entries: Iterable[Tuple[Tuple, Dict[str, ResponseTimeResult]]]
                       ) -> int:
-        """Absorb externally computed entries (e.g. a shard worker's fan-in).
+        """Absorb externally computed entries (e.g. a segment store's).
 
         Already-present keys keep their stored results (content-addressing
         makes both sides identical anyway) but are refreshed to
@@ -305,94 +273,14 @@ class AnalysisCache:
             self.tracer.emit("cache.merge", absorbed=inserted)
         return inserted
 
-    def save_snapshot(self, path: str) -> int:
-        """Persist the current entries to ``path`` (atomic replace).
-
-        The snapshot is a pickle of the content-addressed entries; loading
-        it can never change a verdict, only skip busy-window derivations.
-        Returns the number of entries written.
-        """
-        entries = self.export_entries()
-        payload = {"format": self._SNAPSHOT_FORMAT, "entries": entries}
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
-        return len(entries)
-
-    def load_snapshot(self, path: str, missing_ok: bool = False,
-                      repair: bool = False) -> int:
-        """Merge a persisted snapshot — pickle file or segment store — into
-        this cache.
-
-        Loaded entries warm-start later lookups exactly like
-        :meth:`merge_entries` (no hit/miss accounting, LRU bound respected).
-        Returns the number of new entries absorbed.
-
-        *Missing* and *corrupt* are different situations and are treated
-        differently: with ``missing_ok`` a missing path is the normal
-        cold-start (0 entries, no error), but a snapshot that exists and
-        fails to parse raises :class:`SnapshotError` — silently treating it
-        as empty would throw persisted analyses away without a trace.
-        ``repair=True`` is the explicit escape hatch: damaged segments (or
-        the whole pickle snapshot) are skipped, a warning logs how much was
-        dropped, and the readable remainder still warm-starts the cache.
-
-        A directory at ``path`` is read as a
-        :class:`~repro.analysis.cache_store.SegmentStore` (the concurrent-
-        writer format of the sharded engine); anything else as a
-        :meth:`save_snapshot` pickle.
-        """
-        if not os.path.exists(path):
-            if missing_ok:
-                return 0
-            raise FileNotFoundError(f"no cache snapshot at {path!r}")
-        if os.path.isdir(path):
-            if not is_segment_store(path):
-                raise SnapshotError(f"{path!r} is a directory but not an "
-                                    "AnalysisCache segment store (no "
-                                    "manifest)")
-            store = SegmentStore(path)
-            return self.merge_entries(store.read_entries(repair=repair))
-        try:
-            with open(path, "rb") as stream:
-                payload = pickle.load(stream)
-        except Exception as exc:
-            if repair:
-                logger.warning("cache snapshot %r is corrupt (%s: %s) — "
-                               "repair skipped 1 snapshot, warm-starting "
-                               "empty", path, type(exc).__name__, exc)
-                return 0
-            raise SnapshotError(
-                f"cache snapshot {path!r} exists but cannot be unpickled "
-                f"({type(exc).__name__}: {exc}); a missing snapshot would "
-                "be fine, a corrupt one is not — pass repair=True to "
-                "discard it deliberately") from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != self._SNAPSHOT_FORMAT:
-            if repair:
-                logger.warning("cache snapshot %r has a foreign format — "
-                               "repair skipped 1 snapshot, warm-starting "
-                               "empty", path)
-                return 0
-            raise SnapshotError(f"{path!r} is not an AnalysisCache snapshot")
-        return self.merge_entries(payload["entries"])
-
     def __getstate__(self) -> Dict[str, int]:
         """Pickle travel-light: capacity only, no entries, no engine state.
 
         A cache is pickled when it rides along inside a bigger object graph
-        (a fleet vehicle's acceptance tests crossing into a shard worker);
-        shipping the whole store with every such payload would dwarf the
-        actual work item.  Cross-process warm-starts are explicit instead —
-        :meth:`save_snapshot` / :meth:`load_snapshot`.  Verdicts never
+        (e.g. a pickled fleet vehicle's acceptance tests); shipping the
+        whole store with every such payload would dwarf the payload itself.
+        Cross-process warm starts are explicit instead — through a
+        :class:`~repro.analysis.cache_store.SegmentStore`.  Verdicts never
         depend on cache contents, so an empty arrival is always sound.
         """
         return {"max_entries": self.max_entries,

@@ -1,12 +1,12 @@
 """Append-only segment store: the analysis cache under concurrent writers.
 
-The sharded campaign engine persists :class:`~repro.analysis.cache.
-AnalysisCache` entries so that later shards, later waves, spawn-started
-workers and whole re-runs reuse previously derived busy-window analyses.
-PR 5's whole-snapshot pickle (:meth:`AnalysisCache.save_snapshot`) cannot be
-shared by concurrent writers — every writer rewrites the whole file, last
-writer wins, and mid-wave publication would race the other workers.  A
-:class:`SegmentStore` replaces the rewrite with appends:
+A campaign (``Campaign(cache_store=...)``) persists its
+:class:`~repro.analysis.cache.AnalysisCache` entries here so that whole
+re-runs, resumed campaigns and the admission service's tenants reuse
+previously derived busy-window analyses.  It is the repository's one
+durable cache medium.  Several campaigns may write one store at the same
+time, so a whole-file rewrite (last writer wins) will not do; a
+:class:`SegmentStore` appends instead:
 
 File layout (one store = one directory)
 ---------------------------------------
@@ -290,11 +290,11 @@ class SegmentStore:
         """Entries appended (by any writer) since this handle last read.
 
         The incremental complement of :meth:`read_entries`: per-segment
-        byte offsets persist on the handle, so a shard worker can poll the
-        store between chunks and absorb only what its siblings published in
-        the meantime.  A compaction makes the folded entries reappear under
-        the compacted segment's name — re-reading them is harmless because
-        cache merges are idempotent.
+        byte offsets persist on the handle, so a long-lived reader absorbs
+        only what other writers published since its last read.  A
+        compaction makes the folded entries reappear under the compacted
+        segment's name — re-reading them is harmless because cache merges
+        are idempotent.
         """
         self.last_repair_skipped = 0
         entries: List[StoredEntry] = []
@@ -323,13 +323,13 @@ class SegmentStore:
         segment is durable, so a crash mid-compaction leaves at worst both
         copies, never neither.
 
-        Run compaction from a quiescent writer — e.g. the campaign parent
-        after its pool has joined.  A writer whose open segment gets folded
-        detects the unlink on its next :meth:`append` and rolls to a fresh
-        segment (nothing is corrupted either way); only an append that
-        *races the unlink itself* — why quiescence is asked for — could
-        land invisibly on the folded inode.  Entries appended to *new*
-        segments while compaction runs are untouched.
+        Run compaction from a quiescent writer — e.g. between campaigns,
+        when no campaign holds the store open.  A writer whose open segment
+        gets folded detects the unlink on its next :meth:`append` and rolls
+        to a fresh segment (nothing is corrupted either way); only an
+        append that *races the unlink itself* — why quiescence is asked
+        for — could land invisibly on the folded inode.  Entries appended
+        to *new* segments while compaction runs are untouched.
         """
         sources = self._durable_segments()
         sources = [(segment, durable) for segment, durable in sources

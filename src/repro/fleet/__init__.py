@@ -57,14 +57,6 @@ from repro.fleet.engine import (
     CampaignEngine,
     CampaignState,
 )
-from repro.fleet.shard import (
-    ShardItem,
-    ShardResult,
-    ShardTask,
-    ShardVerdict,
-    execute_shard,
-    plan_shards,
-)
 
 __all__ = [
     "MONITOR_PEER",
@@ -89,10 +81,4 @@ __all__ = [
     "WavePolicy",
     "WaveRecord",
     "plan_waves",
-    "ShardItem",
-    "ShardResult",
-    "ShardTask",
-    "ShardVerdict",
-    "execute_shard",
-    "plan_shards",
 ]

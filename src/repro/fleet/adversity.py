@@ -30,12 +30,12 @@ at its three seams:
 Determinism contract
 --------------------
 
-Every hook executes in the campaign's *parent* process, in wave order, with
-all randomness drawn from :class:`~repro.sim.random.SeededRNG` streams keyed
-on ``(seed, vehicle.index, attempt)`` — never on wall clock, process ids or
-pool scheduling.  Adversity decisions are therefore a pure function of the
-campaign parameters, and a perturbed campaign remains byte-identical between
-``workers=1`` and any pooled worker layout (the differential harness in
+Every hook executes in wave order, with all randomness drawn from
+:class:`~repro.sim.random.SeededRNG` streams keyed on
+``(seed, vehicle.index, attempt)`` — never on wall clock or process ids.
+Adversity decisions are therefore a pure function of the campaign
+parameters, and a perturbed campaign remains byte-identical between batched
+and sequential admission (the differential harness in
 ``tests/test_adversity_campaign.py`` pins this).
 """
 
@@ -63,7 +63,7 @@ class AdversityModel:
     The base class is the identity adversity: every hook is a no-op and a
     campaign configured with it behaves exactly like one without adversity.
     Subclasses override the seams they perturb; the campaign calls every
-    hook in deterministic wave order from the parent process (see the module
+    hook in deterministic wave order (see the module
     docstring for the determinism contract).
     """
 
@@ -130,8 +130,8 @@ class LossyDeliveryAdversity(AdversityModel):
 
     Each delivery attempt of each vehicle fails independently with
     probability ``drop_rate`` (seeded per ``(vehicle.index, attempt)``, so
-    the decision stream is independent of wave composition and worker
-    layout).  An undelivered vehicle is retried in the next wave — riding
+    the decision stream is independent of wave composition and admission
+    mode).  An undelivered vehicle is retried in the next wave — riding
     along with that wave's planned members, or in extra ``straggler`` waves
     once the planned rollout is exhausted — until it has failed
     ``1 + max_retries`` times, at which point it is abandoned (counted, not

@@ -49,9 +49,6 @@ class FleetCampaignResult:
     cache_misses: int
     engine_reuse_rate: float
     waves: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-shard execution telemetry of pooled waves (informational —
-    #: varies with the worker layout, excluded from canonical records).
-    shard_telemetry: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def completed(self) -> bool:
@@ -88,12 +85,7 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
                                 failure_injection_rate: float = 0.0,
                                 batch_admission: bool = True,
                                 deploy: bool = False,
-                                workers: int = 1,
-                                cache_path: Optional[str] = None,
                                 batch_kernel: bool = False,
-                                shard_planner: str = "cost",
-                                steal: bool = True,
-                                start_method: Optional[str] = None,
                                 cache_store: Optional[str] = None,
                                 trace_path: Optional[str] = None,
                                 trace_deterministic: bool = False
@@ -102,20 +94,13 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
 
     The fleet, the per-variant update contracts and the simulated monitor
     feedback are all derived from ``seed``, so the result is a pure function
-    of the parameters — batched, sequential and sharded (``workers > 1``)
-    admission included; ``cache_path`` warm-starts the analysis cache from a
-    previous run's persisted snapshot without changing any verdict, and
+    of the parameters — batched and sequential admission included.
     ``batch_kernel`` (requires ``batch_admission``) solves the admission
-    waves' cold analyses with the vectorized lockstep kernel — bit-identical
-    verdicts, lower prefetch wall time.
-
-    The sharded-engine knobs pass straight through to
-    :class:`~repro.fleet.campaign.Campaign`: ``shard_planner`` /``steal``
-    select the cost-model work-stealing dispatch (default) or the static
-    round-robin baseline, ``start_method`` forces a ``multiprocessing``
-    start method, and ``cache_store`` shares an append-only segment store
-    between the parent and all workers — all four move wall time only,
-    never verdicts.
+    waves' cold analyses with the vectorized lockstep kernel, and
+    ``cache_store`` warm-starts the analysis cache from (and appends this
+    run's analyses to) an append-only segment store; both pass straight
+    through to :class:`~repro.fleet.campaign.Campaign` and change wall time
+    only, never verdicts.
 
     ``trace_path`` attaches a :class:`~repro.observability.CampaignTracer`
     writing a structured JSONL event trace of the whole rollout
@@ -156,11 +141,8 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
     campaign = Campaign(vehicles, update_factory, policy=policy,
                         analysis_cache=cache, batch_admission=batch_admission,
                         failure_injection_rate=failure_injection_rate,
-                        feedback_seed=seed, workers=workers,
-                        cache_path=cache_path, batch_kernel=batch_kernel,
-                        shard_planner=shard_planner, steal=steal,
-                        start_method=start_method, cache_store=cache_store,
-                        tracer=tracer)
+                        feedback_seed=seed, batch_kernel=batch_kernel,
+                        cache_store=cache_store, tracer=tracer)
     outcome: CampaignResult = campaign.run()
     return FleetCampaignResult(
         fleet_size=outcome.fleet_size,
@@ -179,5 +161,4 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
         cache_hits=outcome.cache_hits,
         cache_misses=outcome.cache_misses,
         engine_reuse_rate=outcome.engine_reuse_rate,
-        waves=[record.to_dict() for record in outcome.waves],
-        shard_telemetry=[dict(row) for row in outcome.shard_telemetry])
+        waves=[record.to_dict() for record in outcome.waves])

@@ -41,10 +41,10 @@ Determinism
 
 Steps execute inline on the event loop, one at a time — the service
 interleaves campaigns at wave granularity rather than running waves of
-different tenants in true parallel (a campaign's own ``workers`` knob
-provides real parallelism inside a wave through its shard pool).  Inline
-stepping keeps the service loop deterministic and lock-free; the scheduling
-order changes *when* a wave runs, never what it computes.
+different tenants in parallel, and every campaign runs in the service's
+process.  Inline stepping keeps the service loop deterministic and
+lock-free; the scheduling order changes *when* a wave runs, never what it
+computes.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ class AdmissionService:
         job.halt_requested = False
         if job.engine is not None:
             job.checkpoint = job.engine.checkpoint()
-            job.engine.finalize()  # join the pool, publish the store delta
+            job.engine.finalize()  # publish the store delta
             job.engine = None
         job.state = JobState.HALTED
 
@@ -424,7 +424,7 @@ class AdmissionService:
             job.fleet, update_factory, policy=policy,
             analysis_cache=job.cache,
             failure_injection_rate=request.failure_injection_rate,
-            feedback_seed=request.seed, workers=request.workers,
+            feedback_seed=request.seed,
             batch_kernel=request.batch_kernel, cache_store=self.store_dir)
         job.engine = CampaignEngine(job.campaign,
                                     resume_from=job.checkpoint)

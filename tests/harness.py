@@ -15,7 +15,10 @@ holds the pieces those suites share:
   (``random_chain``, ``make_contract``, ``clone_request``,
   ``build_platform``);
 * the event-driven CAN bus ground truth ``simulate_latencies`` and the
-  ``frame_workloads`` hypothesis strategy used by the CAN RTA suite.
+  ``frame_workloads`` hypothesis strategy used by the CAN RTA suite;
+* fleet-campaign fixtures (``make_factory``, ``run_campaign``) and the
+  result/fleet digests (``campaign_digest``, ``fleet_digest``) that the
+  campaign, engine, adversity, observability and service suites compare.
 
 Everything here is deterministic given the caller's seeds — extracting it
 changed no seed and no behaviour, only the import site.
@@ -27,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.analysis.compositional import FrameSpec
 from repro.can.bus import CanBus
@@ -34,10 +38,13 @@ from repro.can.controller import CanController
 from repro.can.frame import CanFrame
 from repro.contracts.model import (Contract, RealTimeRequirement,
                                    SafetyRequirement, SecurityRequirement)
+from repro.fleet.campaign import Campaign
+from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.acceptance import AcceptanceResult, tasksets_from_mapping
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
 from repro.platform.tasks import Task, TaskSet
+from repro.scenarios.fleet_campaign import build_update_contract
 from repro.sim.kernel import Simulator
 from repro.sim.random import SeededRNG
 
@@ -218,3 +225,65 @@ def simulate_latencies(streams: Iterable[Tuple[FrameSpec, float]],
     sim.run(until=horizon + 1.0)
     return {name: controller.tx_latencies()
             for name, controller in controllers.items()}
+
+
+# ---------------------------------------------------------------------------
+# Fleet campaigns: update factory, one-call runs, result and fleet digests
+# ---------------------------------------------------------------------------
+
+
+def make_factory():
+    """Per-variant ADD update factory (one shared contract per variant)."""
+    contracts = {}
+
+    def factory(vehicle):
+        contract = contracts.get(vehicle.variant.index)
+        if contract is None:
+            contract = build_update_contract(vehicle.wcet_factor)
+            contracts[vehicle.variant.index] = contract
+        return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
+                             component=contract.component, contract=contract)
+
+    return factory
+
+
+def campaign_digest(result):
+    """Everything deterministic about a campaign result.
+
+    Leaves out the cache/engine counters and the ``batched`` echo of the
+    admission mode: both legitimately differ between batched admission and
+    the sequential oracle, whose verdicts must otherwise match exactly.
+    """
+    return (result.fleet_size, result.admitted,
+            result.rejected, result.deviating, result.refined,
+            result.rolled_back, result.halted, result.halted_wave,
+            result.completed,
+            [record.to_dict() for record in result.waves])
+
+
+def fleet_digest(fleet):
+    """Per-vehicle rollout state: flags, model version, installed set."""
+    return [(vehicle.vehicle_id, vehicle.updated, vehicle.deviating,
+             vehicle.rolled_back, vehicle.mcc.version,
+             sorted(vehicle.mcc.model.components()),
+             sorted(vehicle.mcc.model.mapping.items()))
+            for vehicle in fleet]
+
+
+def run_campaign(size, seed, *, batched=True, failure_rate=0.0, policy=None,
+                 num_variants=4, **campaign_kwargs):
+    """Generate a fleet and run one campaign over it.
+
+    ``batched=False`` is the sequential-admission oracle: no shared cache,
+    every vehicle integrates on its own.  Returns ``(fleet, campaign,
+    result)``.
+    """
+    spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
+                     extra_components=2)
+    cache = AnalysisCache() if batched else None
+    fleet = generate_fleet(spec, analysis_cache=cache)
+    campaign = Campaign(fleet, make_factory(), policy=policy,
+                        analysis_cache=cache, batch_admission=batched,
+                        failure_injection_rate=failure_rate,
+                        feedback_seed=seed, **campaign_kwargs)
+    return fleet, campaign, campaign.run()

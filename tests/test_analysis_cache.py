@@ -10,6 +10,7 @@ from repro.analysis.cache import (
     fingerprint_taskset,
     taskset_key,
 )
+from repro.analysis.cache_store import SegmentStore
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
 from repro.mcc.acceptance import TimingAcceptanceTest
 from repro.platform.tasks import Task, TaskSet
@@ -242,49 +243,34 @@ class TestAnalysisCache:
 
 
 class TestSnapshotPersistence:
-    """On-disk snapshots and cross-cache entry movement."""
+    """Persisted entries: segment-store round trips and cross-cache entry
+    movement."""
 
     def test_snapshot_roundtrip(self, tmp_path):
         cache = AnalysisCache()
         expected = {w: cache.analyse(_taskset(wcet_high=w))
                     for w in (0.001, 0.002, 0.003)}
-        path = str(tmp_path / "cache.pkl")
-        assert cache.save_snapshot(path) == 3
+        path = str(tmp_path / "store")
+        assert SegmentStore(path).append(cache.export_entries()) == 3
         warm = AnalysisCache()
-        assert warm.load_snapshot(path) == 3
+        assert warm.merge_entries(SegmentStore(path).read_entries()) == 3
         for w, results in expected.items():
             assert warm.analyse(_taskset(wcet_high=w)) == results
-        # Every lookup was answered from the snapshot: no engine traffic.
+        # Every lookup was answered from the store: no engine traffic.
         assert (warm.hits, warm.misses) == (3, 0)
         assert warm.engine.tasks_analysed == 0
 
-    def test_load_merges_and_respects_capacity(self, tmp_path):
+    def test_load_merges_and_respects_capacity(self):
         cache = AnalysisCache()
         for w in (0.001, 0.002, 0.003):
             cache.analyse(_taskset(wcet_high=w))
-        path = str(tmp_path / "cache.pkl")
-        cache.save_snapshot(path)
         small = AnalysisCache(max_entries=2)
-        loaded = small.load_snapshot(path)
+        loaded = small.merge_entries(cache.export_entries())
         assert loaded == 3
         assert len(small) == 2  # LRU bound holds under loading too
         assert small.evictions == 1
         # Loading is not a lookup.
         assert (small.hits, small.misses) == (0, 0)
-
-    def test_load_missing_snapshot(self, tmp_path):
-        cache = AnalysisCache()
-        missing = str(tmp_path / "absent.pkl")
-        assert cache.load_snapshot(missing, missing_ok=True) == 0
-        with pytest.raises(FileNotFoundError):
-            cache.load_snapshot(missing)
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "bogus.pkl"
-        import pickle
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ValueError):
-            AnalysisCache().load_snapshot(str(path))
 
     def test_merge_entries_refreshes_and_counts_inserts(self):
         source = AnalysisCache()
@@ -306,9 +292,9 @@ class TestSnapshotPersistence:
         assert len(fresh) == 1
 
     def test_pickled_cache_travels_empty(self):
-        """Pickling a cache object (as a rider inside a shard payload)
-        deliberately ships capacity only — warm-starts are explicit via
-        snapshots, and verdicts never depend on cache contents."""
+        """Pickling a cache object (as a rider inside a pickled vehicle)
+        deliberately ships capacity only — warm starts are explicit via a
+        segment store, and verdicts never depend on cache contents."""
         import pickle
         cache = AnalysisCache(max_entries=7)
         cache.analyse(_taskset())

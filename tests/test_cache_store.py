@@ -3,9 +3,8 @@
 Covers the concurrent-writer protocol end-to-end: lock-free multi-writer
 appends (including a real ≥4-process stress), incremental reads, the
 torn-tail invisibility guarantee, corruption detection vs the explicit
-``repair=True`` escape hatch, compaction, and the
-:meth:`AnalysisCache.load_snapshot` integration (missing vs corrupt vs
-store-directory semantics).
+``repair=True`` escape hatch, compaction, and warm-starting an
+:class:`AnalysisCache` from a store (damaged segments included).
 """
 
 from __future__ import annotations
@@ -13,12 +12,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pickle
 import struct
 
 import pytest
 
-from repro.analysis.cache import AnalysisCache, SnapshotError
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.cache_store import (SegmentStore, StoreCorruptionError,
                                         is_segment_store)
 from repro.platform.tasks import Task, TaskSet
@@ -290,53 +288,19 @@ class TestConcurrentWriters:
         assert len(SegmentStore(path).read_entries()) == kept
 
 
-class TestCacheSnapshotIntegration:
-    """AnalysisCache.load_snapshot over files, stores, and their failures."""
+class TestCacheStoreIntegration:
+    """AnalysisCache warm starts through a store, including its failures."""
 
-    def test_load_snapshot_from_store_directory(self, tmp_path):
+    def test_warm_start_from_store_directory(self, tmp_path):
         source = AnalysisCache()
         expected = source.analyse(_taskset())
         store = SegmentStore(str(tmp_path / "store"))
         store.append(source.export_entries())
         warm = AnalysisCache()
-        assert warm.load_snapshot(str(tmp_path / "store")) == 1
+        reader = SegmentStore(str(tmp_path / "store"))
+        assert warm.merge_entries(reader.read_entries()) == 1
         assert warm.analyse(_taskset()) == expected
         assert (warm.hits, warm.misses) == (1, 0)
-
-    def test_plain_directory_is_not_a_snapshot(self, tmp_path):
-        with pytest.raises(SnapshotError, match="not an AnalysisCache"):
-            AnalysisCache().load_snapshot(str(tmp_path))
-
-    def test_missing_ok_still_distinguishes_corrupt(self, tmp_path):
-        cache = AnalysisCache()
-        assert cache.load_snapshot(str(tmp_path / "absent"),
-                                   missing_ok=True) == 0
-        corrupt = tmp_path / "corrupt.pkl"
-        corrupt.write_bytes(b"\x80this is not a pickle")
-        with pytest.raises(SnapshotError, match="repair=True"):
-            cache.load_snapshot(str(corrupt), missing_ok=True)
-
-    def test_repair_discards_corrupt_pickle_with_warning(self, tmp_path,
-                                                         caplog):
-        corrupt = tmp_path / "corrupt.pkl"
-        corrupt.write_bytes(b"\x80this is not a pickle")
-        cache = AnalysisCache()
-        with caplog.at_level("WARNING", logger="repro.analysis.cache"):
-            assert cache.load_snapshot(str(corrupt), repair=True) == 0
-        assert any("repair skipped" in record.message
-                   for record in caplog.records)
-
-    def test_repair_discards_foreign_format_with_warning(self, tmp_path,
-                                                         caplog):
-        foreign = tmp_path / "foreign.pkl"
-        foreign.write_bytes(pickle.dumps({"something": "else"}))
-        cache = AnalysisCache()
-        with pytest.raises(SnapshotError):
-            cache.load_snapshot(str(foreign))
-        with caplog.at_level("WARNING", logger="repro.analysis.cache"):
-            assert cache.load_snapshot(str(foreign), repair=True) == 0
-        assert any("foreign format" in record.message
-                   for record in caplog.records)
 
     def test_repair_reads_around_damaged_store_segment(self, tmp_path,
                                                        caplog):
@@ -352,8 +316,14 @@ class TestCacheSnapshotIntegration:
             byte = handle.read(1)
             handle.seek(12)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        warm = AnalysisCache()
+        reader = SegmentStore(path)
         with pytest.raises(StoreCorruptionError):
-            warm.load_snapshot(path)
-        assert warm.load_snapshot(path, repair=True) == 1
+            reader.read_entries()
+        with caplog.at_level("WARNING", logger="repro.analysis.cache_store"):
+            entries = reader.read_entries(repair=True)
+        assert reader.last_repair_skipped > 0
+        assert any("repair skipped" in record.message
+                   for record in caplog.records)
+        warm = AnalysisCache()
+        assert warm.merge_entries(entries) == 1
         assert warm.analyse(_taskset()) == source.analyse(_taskset())

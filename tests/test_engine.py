@@ -4,7 +4,7 @@ The refactor's contract is byte-parity by construction:
 ``Campaign.run()`` is nothing but a loop over
 :meth:`~repro.fleet.engine.CampaignEngine.step`, so a stepped execution,
 a run-to-completion execution and a resumed-mid-campaign execution of the
-same submission must produce identical results — across worker counts,
+same submission must produce identical results — batched or sequential,
 with and without an adversity model, with and without a deterministic
 tracer.  The hypothesis differentials here pin exactly that.
 
@@ -17,7 +17,8 @@ The satellite guarantees ride along:
   reproduces the uninterrupted run byte-for-byte, including from a fresh
   process;
 * ``CampaignCheckpoint.load`` unpickles through a restricted allowlist —
-  a malicious reduce payload raises ``CampaignError`` without executing.
+  a malicious reduce payload raises ``CampaignError`` without executing,
+  including one that reaches ``os`` through a dotted global name.
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ from repro.fleet.engine import CampaignEngine, CampaignState
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.observability.tracer import CampaignTracer
 
-from test_parallel_campaign import campaign_digest, fleet_digest, make_factory
+from harness import campaign_digest, fleet_digest, make_factory
 
 
-def build_campaign(size, seed, workers=1, *, policy=None, adversity=None,
+def build_campaign(size, seed, batched=True, *, policy=None, adversity=None,
                    tracer=None, failure_rate=0.0, num_variants=3):
     spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
                      extra_components=2)
-    cache = AnalysisCache()
+    cache = AnalysisCache() if batched else None
     fleet = generate_fleet(spec, analysis_cache=cache)
     campaign = Campaign(fleet, make_factory(), policy=policy,
-                        analysis_cache=cache, workers=workers,
+                        analysis_cache=cache, batch_admission=batched,
                         failure_injection_rate=failure_rate,
                         feedback_seed=seed, adversity=adversity,
                         tracer=tracer)
@@ -74,28 +75,26 @@ class TestSteppedRunParity:
 
     @given(size=st.integers(min_value=6, max_value=14),
            seed=st.integers(min_value=0, max_value=2**20),
-           workers=st.sampled_from([1, 2]),
+           batched=st.booleans(),
            trace=st.booleans())
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_stepped_matches_run(self, size, seed, workers, trace):
+    def test_stepped_matches_run(self, size, seed, batched, trace):
         run_tracer = CampaignTracer(deterministic=True) if trace else None
-        fleet_run, campaign_run = build_campaign(size, seed, workers,
+        fleet_run, campaign_run = build_campaign(size, seed, batched,
                                                  tracer=run_tracer)
         reference = campaign_run.run()
 
         step_tracer = CampaignTracer(deterministic=True) if trace else None
-        fleet_step, campaign_step = build_campaign(size, seed, workers,
+        fleet_step, campaign_step = build_campaign(size, seed, batched,
                                                    tracer=step_tracer)
         _, stepped = step_to_completion(campaign_step)
 
         assert campaign_digest(stepped) == campaign_digest(reference)
         assert fleet_digest(fleet_step) == fleet_digest(fleet_run)
-        if trace and workers == 1:
+        if trace:
             # Deterministic traces are a pure function of the computation:
             # the stepped engine must neither add nor reorder events.
-            # (Pooled layouts fan shard events in completion order, which
-            # is nondeterministic even between two run() calls.)
             assert step_tracer.events == run_tracer.events
 
     @given(seed=st.integers(min_value=0, max_value=2**20),
@@ -128,16 +127,6 @@ class TestSteppedRunParity:
             engine.finalize()
         with pytest.raises(CampaignError, match="already finalized"):
             engine.step()
-
-    def test_cost_model_is_shared_with_campaign(self):
-        # The pooled path is the one that measures integration costs.
-        _, campaign = build_campaign(10, seed=5, workers=2)
-        engine = CampaignEngine(campaign)
-        assert engine.state.cost_model is campaign._cost_model
-        while not engine.done:
-            engine.step()
-        engine.finalize()
-        assert campaign._cost_model  # measured costs persisted on campaign
 
 
 class TestDoubleRunGuard:
@@ -207,7 +196,7 @@ from repro.analysis.cache import AnalysisCache
 from repro.fleet.campaign import Campaign, CampaignCheckpoint
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 sys.path.insert(0, {os.path.dirname(__file__)!r})
-from test_parallel_campaign import campaign_digest, make_factory
+from harness import campaign_digest, make_factory
 
 cache = AnalysisCache()
 fleet = generate_fleet(FleetSpec(size={size}, seed={seed}, num_variants=3,
@@ -225,26 +214,6 @@ sys.stdout.write(repr(campaign_digest(resumed)))
                                    capture_output=True, text=True,
                                    env=environment, check=True)
         assert completed.stdout == repr(campaign_digest(reference))
-
-    def test_checkpoint_carries_the_cost_model(self, tmp_path):
-        # workers=2: the pooled admission path feeds the EWMA cost model.
-        _, campaign = build_campaign(10, seed=21, workers=2)
-        engine = CampaignEngine(campaign)
-        engine.step()
-        engine.step()
-        assert engine.state.cost_model
-        checkpoint = engine.checkpoint()
-        assert checkpoint.cost_model == campaign._cost_model
-        assert checkpoint.cost_model is not campaign._cost_model
-        engine.finalize()
-
-        _, campaign_resumed = build_campaign(10, seed=21, workers=2)
-        resumed_engine = CampaignEngine(campaign_resumed,
-                                        resume_from=checkpoint)
-        assert resumed_engine.state.cost_model == checkpoint.cost_model
-        while not resumed_engine.done:
-            resumed_engine.step()
-        resumed_engine.finalize()
 
     def test_checkpoint_emits_trace_event_only_when_saved(self, tmp_path):
         tracer = CampaignTracer(deterministic=True)
@@ -298,6 +267,21 @@ class _EvilPayload:
         return (os.system, (f"touch {self.marker}",))
 
 
+def _dotted_global_payload(marker: str) -> bytes:
+    """A protocol-4 pickle calling ``os.mkdir(marker)`` through the dotted
+    global ``repro.fleet.campaign`` / ``os.mkdir`` — the module prefix is
+    allowlisted, the attribute path leaves the package."""
+
+    def text(value: str) -> bytes:
+        encoded = value.encode("utf-8")
+        return pickle.BINUNICODE + len(encoded).to_bytes(4, "little") \
+            + encoded
+
+    return (pickle.PROTO + bytes([4]) + text("repro.fleet.campaign")
+            + text("os.mkdir") + pickle.STACK_GLOBAL + text(marker)
+            + pickle.TUPLE1 + pickle.REDUCE + pickle.STOP)
+
+
 class TestRestrictedUnpickler:
     """CampaignCheckpoint.load never executes foreign pickle payloads."""
 
@@ -310,6 +294,15 @@ class TestRestrictedUnpickler:
                            match="not a loadable campaign checkpoint"):
             CampaignCheckpoint.load(malicious)
         assert not os.path.exists(marker)  # the payload never ran
+
+    def test_dotted_global_is_rejected_not_executed(self, tmp_path):
+        marker = str(tmp_path / "owned")
+        malicious = str(tmp_path / "dotted.ckpt")
+        with open(malicious, "wb") as handle:
+            handle.write(_dotted_global_payload(marker))
+        with pytest.raises(CampaignError):
+            CampaignCheckpoint.load(malicious)
+        assert not os.path.exists(marker)  # os.mkdir never ran
 
     def test_foreign_class_is_rejected(self, tmp_path):
         import pathlib
@@ -342,5 +335,5 @@ class TestCampaignState:
     def test_default_state_is_inert(self):
         state = CampaignState()
         assert state.wave_index == 0 and state.start_wave == 0
-        assert state.carry == [] and state.cost_model == {}
+        assert state.carry == []
         assert state.result.fleet_size == 0

@@ -1,20 +1,37 @@
-"""Fleet generation, staged campaign waves, rollback and the E10 scenario."""
+"""Fleet generation, staged campaign waves, rollback, the batched-vs-
+sequential differential, segment-store warm starts, checkpoint/resume and
+the E10 scenario.
+
+The load-bearing guarantee of batched admission is *byte-identical
+results*: for any fleet, any staging policy and any failure injection,
+batched admission (dedupe, prefetch, optional batch kernel and segment
+store) must produce the same wave records and the same per-vehicle rollout
+state as sequential per-vehicle admission — including campaigns that halt
+mid-rollout.  A hypothesis-seeded differential harness pins that.
+"""
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
+from repro.analysis.cache_store import SegmentStore
 from repro.experiments.registry import run_scenario
-from repro.fleet.campaign import (Campaign, CampaignError, WavePolicy,
-                                  WaveRecord, plan_waves)
+from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
+                                  WavePolicy, WaveRecord, plan_waves)
 from repro.fleet.vehicle import (FleetSpec, FleetVehicle, generate_fleet,
                                  generate_variants, variant_contracts)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import (build_update_contract,
                                             run_fleet_campaign_scenario)
+
+from harness import campaign_digest, fleet_digest, make_factory, run_campaign
 
 
 def small_spec(size: int = 8, **overrides) -> FleetSpec:
@@ -326,17 +343,201 @@ class TestCampaign:
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      failure_injection_rate=2.0)
         with pytest.raises(CampaignError):
-            Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
-                     workers=0)
-        with pytest.raises(CampaignError):
-            # Sharding runs one integration per equivalence group; it cannot
-            # reproduce the unbatched per-vehicle baseline.
-            Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
-                     batch_admission=False, workers=2)
-        with pytest.raises(CampaignError):
-            # A cache snapshot path without a cache to snapshot is a typo.
+            # The batch kernel runs inside the shared cache's engine.
             Campaign([], update_factory_for(), analysis_cache=None,
-                     batch_admission=False, cache_path="cache.pkl")
+                     batch_admission=False, batch_kernel=True)
+
+
+class TestSequentialDifferential:
+    """Batched admission vs the sequential oracle: byte-identical results."""
+
+    def test_mid_campaign_halt_equivalence(self):
+        """A failure-injected campaign that halts mid-rollout: identical
+        halted wave, identical rollback set, identical per-vehicle state."""
+        policy = WavePolicy(canary_size=2, wave_fractions=(0.3, 1.0),
+                            max_failure_rate=0.2)
+        fleet_seq, _, sequential = run_campaign(16, 1, batched=False,
+                                                failure_rate=0.5,
+                                                policy=policy)
+        fleet_bat, _, batched = run_campaign(16, 1, failure_rate=0.5,
+                                             policy=policy)
+        # The scenario must actually exercise a *mid-campaign* halt.
+        assert sequential.halted and sequential.halted_wave >= 1
+        assert campaign_digest(batched) == campaign_digest(sequential)
+        assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+        rollback_seq = [v.vehicle_id for v in fleet_seq if v.rolled_back]
+        rollback_bat = [v.vehicle_id for v in fleet_bat if v.rolled_back]
+        assert rollback_bat == rollback_seq
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           failure_rate=st.sampled_from([0.0, 0.3, 0.8]),
+           size=st.integers(min_value=4, max_value=14))
+    def test_differential_random_fleets(self, seed, failure_rate, size):
+        """Hypothesis-seeded fleets: batched admission may never diverge
+        from sequential admission, whatever the fleet or failure pattern."""
+        policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
+                            max_failure_rate=0.25)
+        fleet_seq, _, sequential = run_campaign(size, seed, batched=False,
+                                                failure_rate=failure_rate,
+                                                policy=policy)
+        fleet_bat, _, batched = run_campaign(size, seed,
+                                             failure_rate=failure_rate,
+                                             policy=policy)
+        assert campaign_digest(batched) == campaign_digest(sequential)
+        assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           failure_rate=st.sampled_from([0.0, 0.4]),
+           batch_kernel=st.booleans(),
+           store=st.booleans())
+    def test_differential_random_knobs(self, tmp_path, seed, failure_rate,
+                                       batch_kernel, store):
+        """Random batch-kernel × warm-start-medium combinations may never
+        change a verdict relative to sequential admission."""
+        policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
+                            max_failure_rate=0.25)
+        fleet_seq, _, sequential = run_campaign(10, seed, batched=False,
+                                                failure_rate=failure_rate,
+                                                policy=policy)
+        media = {"cache_store": str(tmp_path / f"store-{seed}")} \
+            if store else {}
+        fleet_bat, _, batched = run_campaign(10, seed,
+                                             failure_rate=failure_rate,
+                                             policy=policy,
+                                             batch_kernel=batch_kernel,
+                                             **media)
+        assert campaign_digest(batched) == campaign_digest(sequential)
+        assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
+
+
+class TestSegmentStoreCampaign:
+    """cache_store: cross-run warm starts with unchanged verdicts."""
+
+    def test_store_backed_run_matches_plain_run(self, tmp_path):
+        fleet_plain, _, plain = run_campaign(10, 4)
+        fleet_store, _, stored = run_campaign(
+            10, 4, cache_store=os.path.join(tmp_path, "store"))
+        assert campaign_digest(stored) == campaign_digest(plain)
+        assert fleet_digest(fleet_store) == fleet_digest(fleet_plain)
+
+    def test_rerun_warm_starts_from_store(self, tmp_path):
+        store = os.path.join(tmp_path, "store")
+        _, _, first = run_campaign(10, 4, cache_store=store)
+        assert first.cache_misses > 0
+        _, _, second = run_campaign(10, 4, cache_store=store)
+        assert campaign_digest(second) == campaign_digest(first)
+        assert second.cache_misses < first.cache_misses
+        assert second.cache_hits > 0
+
+    def test_run_end_publishes_every_cache_entry(self, tmp_path):
+        store = os.path.join(tmp_path, "store")
+        _, campaign, _ = run_campaign(6, 4, cache_store=store)
+        entries = SegmentStore(store).read_entries()
+        # Everything the campaign's cache holds is durable in the store.
+        stored_keys = {key for key, _ in entries}
+        cache_keys = {key for key, _
+                      in campaign.analysis_cache.export_entries()}
+        assert cache_keys <= stored_keys
+
+    def test_store_requires_a_cache(self, tmp_path):
+        fleet = []
+        with pytest.raises(CampaignError, match="cache_store"):
+            Campaign(fleet, make_factory(), batch_admission=False,
+                     cache_store=str(tmp_path / "store"))
+
+
+class TestCheckpointResume:
+    """A halted campaign resumes — remediated — to the reference result."""
+
+    POLICY_STRICT = WavePolicy(canary_size=2, wave_fractions=(0.4, 1.0),
+                               max_failure_rate=0.1)
+    POLICY_TOLERANT = WavePolicy(canary_size=2, wave_fractions=(0.4, 1.0),
+                                 max_failure_rate=1.0)
+
+    def _halting_setup(self, tmp_path):
+        checkpoint_path = os.path.join(tmp_path, "campaign.ckpt")
+        fleet, campaign, halted = run_campaign(
+            18, 1, failure_rate=0.4, policy=self.POLICY_STRICT,
+            checkpoint_path=checkpoint_path)
+        assert halted.halted
+        assert os.path.exists(checkpoint_path)
+        assert campaign.last_checkpoint is not None
+        return fleet, halted, checkpoint_path
+
+    def test_resume_reaches_reference_result(self, tmp_path):
+        fleet, halted, checkpoint_path = self._halting_setup(tmp_path)
+        _, _, reference = run_campaign(18, 1, failure_rate=0.4,
+                                       policy=self.POLICY_TOLERANT)
+        # Remediation: the operator raises the tolerance and resumes the
+        # SAME fleet from the checkpoint (live objects, same process).
+        cache = AnalysisCache()
+        resumed = Campaign(fleet, make_factory(), policy=self.POLICY_TOLERANT,
+                           analysis_cache=cache, failure_injection_rate=0.4,
+                           feedback_seed=1).run(
+            resume_from=CampaignCheckpoint.load(checkpoint_path))
+        assert campaign_digest(resumed) == campaign_digest(reference)
+
+    def test_resume_on_regenerated_fleet(self, tmp_path):
+        """The checkpoint restores vehicles of a *freshly generated* fleet —
+        the cross-process story (pickled MCC snapshots are portable)."""
+        _, halted, checkpoint_path = self._halting_setup(tmp_path)
+        _, _, reference = run_campaign(18, 1, failure_rate=0.4,
+                                       policy=self.POLICY_TOLERANT)
+        spec = FleetSpec(size=18, seed=1, num_variants=4, extra_components=2)
+        cache = AnalysisCache()
+        fresh_fleet = generate_fleet(spec, analysis_cache=cache)
+        resumed = Campaign(fresh_fleet, make_factory(),
+                           policy=self.POLICY_TOLERANT, analysis_cache=cache,
+                           failure_injection_rate=0.4, feedback_seed=1).run(
+            resume_from=CampaignCheckpoint.load(checkpoint_path))
+        assert campaign_digest(resumed) == campaign_digest(reference)
+
+    def test_checkpoint_excludes_the_halting_wave(self, tmp_path):
+        _, halted, checkpoint_path = self._halting_setup(tmp_path)
+        checkpoint = CampaignCheckpoint.load(checkpoint_path)
+        assert checkpoint.next_wave == halted.halted_wave
+        assert len(checkpoint.result.waves) == halted.halted_wave
+        assert not checkpoint.result.halted
+        # Halting-wave members are stored pre-wave: clean flags.
+        halting_ids = set(halted.waves[-1].vehicle_ids)
+        for state in checkpoint.vehicle_states:
+            if state.vehicle_id in halting_ids:
+                assert not (state.updated or state.deviating
+                            or state.rolled_back)
+
+    def test_resume_rejects_diverging_fleet(self, tmp_path):
+        _, _, checkpoint_path = self._halting_setup(tmp_path)
+        checkpoint = CampaignCheckpoint.load(checkpoint_path)
+        spec = FleetSpec(size=5, seed=1, num_variants=4, extra_components=2)
+        cache = AnalysisCache()
+        wrong_fleet = generate_fleet(spec, analysis_cache=cache)
+        with pytest.raises(CampaignError):
+            Campaign(wrong_fleet, make_factory(), policy=self.POLICY_TOLERANT,
+                     analysis_cache=cache).run(resume_from=checkpoint)
+
+    def test_resume_rejects_diverging_staging(self, tmp_path):
+        _, _, checkpoint_path = self._halting_setup(tmp_path)
+        checkpoint = CampaignCheckpoint.load(checkpoint_path)
+        spec = FleetSpec(size=18, seed=1, num_variants=4, extra_components=2)
+        cache = AnalysisCache()
+        fleet = generate_fleet(spec, analysis_cache=cache)
+        reshaped = WavePolicy(canary_size=5, wave_fractions=(1.0,),
+                              max_failure_rate=1.0)
+        with pytest.raises(CampaignError):
+            Campaign(fleet, make_factory(), policy=reshaped,
+                     analysis_cache=cache).run(resume_from=checkpoint)
+
+    def test_checkpoint_file_validation(self, tmp_path):
+        bogus = os.path.join(tmp_path, "bogus.ckpt")
+        with open(bogus, "wb") as stream:
+            pickle.dump({"not": "a checkpoint"}, stream)
+        with pytest.raises(CampaignError):
+            CampaignCheckpoint.load(bogus)
 
 
 class TestFleetScenario:

@@ -38,7 +38,7 @@ from repro.service import (AdmissionService, CampaignStatus, HaltRequest,
                            JobState, ResumeRequest, RollbackRequest,
                            ServiceError, SubmitCampaign, WaveProgress)
 
-from test_parallel_campaign import campaign_digest
+from harness import campaign_digest
 
 SUBMIT = SubmitCampaign(tenant="acme", fleet_size=8, seed=3)
 
@@ -70,7 +70,7 @@ def reference_result(request: SubmitCampaign):
                         rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
-                        feedback_seed=request.seed, workers=request.workers,
+                        feedback_seed=request.seed,
                         batch_kernel=request.batch_kernel)
     return campaign.run()
 
@@ -271,8 +271,8 @@ class TestValidation:
             SubmitCampaign(tenant="")
         with pytest.raises(ServiceError, match="fleet_size"):
             SubmitCampaign(tenant="acme", fleet_size=0)
-        with pytest.raises(ServiceError, match="workers"):
-            SubmitCampaign(tenant="acme", workers=0)
+        with pytest.raises(TypeError, match="workers"):
+            SubmitCampaign(tenant="acme", workers=2)  # removed knob
         with pytest.raises(ServiceError, match="staging policy"):
             SubmitCampaign(tenant="acme", wave_fractions=(0.5, 0.1))
         with pytest.raises(ServiceError, match="job_id"):
