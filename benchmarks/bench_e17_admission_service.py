@@ -66,7 +66,7 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
     Mirrors the service's provisioning (``AdmissionService._provision``)
     parameter for parameter, minus the shared store.
     """
-    cache = AnalysisCache(batch_kernel=request.batch_kernel)
+    cache = AnalysisCache()
     spec = FleetSpec(size=request.fleet_size, seed=request.seed,
                      heterogeneity=request.heterogeneity,
                      num_variants=request.num_variants,
@@ -90,8 +90,7 @@ def _reference_result(request: SubmitCampaign) -> CampaignResult:
                         rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
-                        feedback_seed=request.seed,
-                        batch_kernel=request.batch_kernel)
+                        feedback_seed=request.seed)
     return campaign.run()
 
 

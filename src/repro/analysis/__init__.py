@@ -11,7 +11,7 @@ as acceptance tests during the in-field integration process:
   systems (exposure/reachability of components from external interfaces).
 * :mod:`repro.analysis.safety` — safety viewpoint: ASIL consistency,
   redundancy and fail-operational coverage.
-* :mod:`repro.analysis.cache` — fingerprint-keyed memoization of WCRT
+* :mod:`repro.analysis.cache` — content-keyed memoization of WCRT
   analyses, so acceptance-test sweeps stop re-deriving identical busy-window
   fixpoints.
 * :mod:`repro.analysis.incremental` — delta-aware incremental WCRT engine:
@@ -21,16 +21,8 @@ as acceptance tests during the in-field integration process:
 * :mod:`repro.analysis.compositional` — multi-resource CPA: CAN
   response-time analysis, the system-level event-model propagation fixpoint
   and jitter-aware distributed cause-effect-chain latency bounds.
-* :mod:`repro.analysis.batch` — vectorized batch busy-window kernel: solves
-  whole congruence groups of task sets in lockstep (numpy or pure-Python),
-  bit-identical to the scalar engine.
 """
 
-from repro.analysis.batch import (
-    BatchResponseTimeAnalysis,
-    congruence_signature,
-    numpy_available,
-)
 from repro.analysis.cpa import (
     EventModel,
     ResponseTimeResult,
@@ -49,15 +41,9 @@ from repro.analysis.threat import ThreatModel, ThreatAssessment, AttackPath
 from repro.analysis.safety import SafetyAnalysis, SafetyFinding
 from repro.analysis.cache import (
     AnalysisCache,
-    CachedResponseTimeAnalysis,
-    fingerprint_taskset,
     taskset_key,
 )
-from repro.analysis.cache_store import (
-    SegmentStore,
-    StoreCorruptionError,
-    is_segment_store,
-)
+from repro.analysis.cache_store import SegmentStore, StoreCorruptionError
 from repro.analysis.incremental import (
     IncrementalResponseTimeAnalysis,
     InterferenceMemo,
@@ -73,9 +59,6 @@ from repro.analysis.compositional import (
 )
 
 __all__ = [
-    "BatchResponseTimeAnalysis",
-    "congruence_signature",
-    "numpy_available",
     "EventModel",
     "ResponseTimeResult",
     "ResponseTimeAnalysis",
@@ -92,11 +75,8 @@ __all__ = [
     "SafetyAnalysis",
     "SafetyFinding",
     "AnalysisCache",
-    "CachedResponseTimeAnalysis",
     "SegmentStore",
     "StoreCorruptionError",
-    "is_segment_store",
-    "fingerprint_taskset",
     "taskset_key",
     "IncrementalResponseTimeAnalysis",
     "InterferenceMemo",

@@ -6,16 +6,13 @@ every MCC change request re-runs the timing viewpoint on *all* processors,
 but typically only one processor's task set actually changed.  The busy-window
 fixpoint iteration is the dominant cost, and its result depends only on the
 task-set parameters, the processor speed factor and the event models — so it
-can be memoized on a *fingerprint* of exactly those inputs.
+can be memoized on a key of exactly those inputs.
 
 :class:`AnalysisCache` stores whole task-set analyses keyed on
 :func:`taskset_key` (the exact parameter tuple — collision-free and cheap to
-build on the hot admission path; :func:`fingerprint_taskset` offers a hex
-digest of the same identity for logs and records) with true LRU eviction;
-:class:`CachedResponseTimeAnalysis` is a drop-in façade over
-:class:`~repro.analysis.cpa.ResponseTimeAnalysis` that consults a cache
-before iterating.  ``TimingAcceptanceTest`` accepts an optional cache so MCC
-sweeps transparently benefit.
+build on the hot admission path) with true LRU eviction.
+``TimingAcceptanceTest`` accepts an optional cache so MCC sweeps
+transparently benefit.
 
 Cache misses are computed by an
 :class:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis` engine:
@@ -32,11 +29,10 @@ analyses.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
+from repro.analysis.cpa import EventModel, ResponseTimeResult
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.platform.tasks import TaskSet
 
@@ -63,24 +59,15 @@ def taskset_key(taskset: TaskSet, speed_factor: float = 1.0,
     return (round(speed_factor, 12), parts)
 
 
-def fingerprint_taskset(taskset: TaskSet, speed_factor: float = 1.0,
-                        event_models: Optional[Dict[str, EventModel]] = None) -> str:
-    """Stable hex fingerprint of a task-set analysis input (see
-    :func:`taskset_key`); useful for logs, records and cross-process
-    comparison, where a compact string beats a nested tuple."""
-    text = repr(taskset_key(taskset, speed_factor, event_models)).encode("utf-8")
-    return hashlib.sha256(text).hexdigest()
-
-
 class AnalysisCache:
     """Content-addressed store of task-set WCRT analyses.
 
-    The cache is an LRU mapping fingerprint -> per-task results; it never
-    invalidates (fingerprints are content hashes, so a changed task set is a
-    different key).  A hit moves the entry to the most-recently-used
-    position; when ``max_entries`` is reached the least-recently-used entry
-    is evicted, so long sweeps that keep cycling over a working set larger
-    than a FIFO window no longer thrash.  ``hits``/``misses``/``evictions``
+    The cache is an LRU mapping :func:`taskset_key` -> per-task results; it
+    never invalidates (keys are the analysis inputs themselves, so a changed
+    task set is a different key).  A hit moves the entry to the
+    most-recently-used position; when ``max_entries`` is reached the
+    least-recently-used entry is evicted, so long sweeps that keep cycling
+    over a working set larger than a FIFO window no longer thrash.  ``hits``/``misses``/``evictions``
     counters make cache behaviour observable for tests and benchmark tables.
 
     Misses are delegated to an incremental engine (shared across all
@@ -90,34 +77,23 @@ class AnalysisCache:
     Because entries are content-addressed they are also *portable*:
     :meth:`export_entries` / :meth:`merge_entries` move them between live
     caches and through a :class:`~repro.analysis.cache_store.SegmentStore`,
-    which persists them across processes and runs.  Pickling a cache object
-    itself deliberately ships it *empty* (see :meth:`__getstate__`).
+    which persists them across processes and runs.
     """
 
-    def __init__(self, max_entries: int = 4096,
-                 engine: Optional[IncrementalResponseTimeAnalysis] = None,
-                 batch_kernel: bool = False) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.engine = engine if engine is not None else IncrementalResponseTimeAnalysis()
-        if batch_kernel:
-            self.engine.batch_kernel = True
+        self.engine = IncrementalResponseTimeAnalysis()
         self._store: "OrderedDict[Tuple, Dict[str, ResponseTimeResult]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         #: Optional :class:`~repro.observability.tracer.CampaignTracer` this
-        #: cache reports lookup/merge events into (set by the campaign when
-        #: tracing is on).  Pure observation — never consulted for any
-        #: decision — and deliberately not pickled: :meth:`__getstate__`
-        #: ships capacity only.
+        #: cache reports lookup/merge events into (attached by a traced
+        #: campaign engine for the length of its run).  Pure observation —
+        #: never consulted for any decision.
         self.tracer = None
-
-    @property
-    def batch_kernel(self) -> bool:
-        """Whether cold miss batches go through the lockstep batch kernel."""
-        return self.engine.batch_kernel
 
     def __len__(self) -> int:
         return len(self._store)
@@ -273,23 +249,6 @@ class AnalysisCache:
             self.tracer.emit("cache.merge", absorbed=inserted)
         return inserted
 
-    def __getstate__(self) -> Dict[str, int]:
-        """Pickle travel-light: capacity only, no entries, no engine state.
-
-        A cache is pickled when it rides along inside a bigger object graph
-        (e.g. a pickled fleet vehicle's acceptance tests); shipping the
-        whole store with every such payload would dwarf the payload itself.
-        Cross-process warm starts are explicit instead — through a
-        :class:`~repro.analysis.cache_store.SegmentStore`.  Verdicts never
-        depend on cache contents, so an empty arrival is always sound.
-        """
-        return {"max_entries": self.max_entries,
-                "batch_kernel": self.engine.batch_kernel}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self.__init__(max_entries=state["max_entries"],
-                      batch_kernel=bool(state.get("batch_kernel", False)))
-
 
 #: Lazily created process-local cache shared by sweeps that do not manage
 #: their own (the in-field scenario, the experiment runner's workers).
@@ -309,38 +268,3 @@ def default_cache() -> AnalysisCache:
     if _DEFAULT_CACHE is None:
         _DEFAULT_CACHE = AnalysisCache()
     return _DEFAULT_CACHE
-
-
-class CachedResponseTimeAnalysis:
-    """Drop-in replacement for :class:`ResponseTimeAnalysis` backed by a cache.
-
-    Only the whole-task-set entry points (:meth:`analyse`,
-    :meth:`schedulable`, :meth:`utilization`) are offered — single-task
-    queries go through :meth:`analyse` so one fixpoint computation serves
-    every task of the set.
-    """
-
-    def __init__(self, taskset: TaskSet, cache: AnalysisCache,
-                 speed_factor: float = 1.0,
-                 event_models: Optional[Dict[str, EventModel]] = None) -> None:
-        self.taskset = taskset
-        self.cache = cache
-        self.speed_factor = speed_factor
-        self._event_models = dict(event_models or {})
-
-    def analyse(self) -> Dict[str, ResponseTimeResult]:
-        """Per-task WCRT results (memoized)."""
-        return self.cache.analyse(self.taskset, self.speed_factor, self._event_models)
-
-    def response_time(self, task_name: str) -> ResponseTimeResult:
-        """Memoized WCRT result of one task of the set."""
-        return self.analyse()[task_name]
-
-    def schedulable(self) -> bool:
-        """Whether every task meets its deadline (memoized)."""
-        return all(result.schedulable for result in self.analyse().values())
-
-    def utilization(self) -> float:
-        """Speed-adjusted utilization (cheap; computed directly)."""
-        return ResponseTimeAnalysis(self.taskset,
-                                    speed_factor=self.speed_factor).utilization()

@@ -85,12 +85,6 @@ class StoreCorruptionError(ValueError):
     """
 
 
-def is_segment_store(path: str) -> bool:
-    """Whether ``path`` is (or could be resumed as) a segment store."""
-    return os.path.isdir(path) and os.path.exists(
-        os.path.join(path, _MANIFEST_NAME))
-
-
 def _atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` via temp file + fsync + atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -367,5 +361,4 @@ class SegmentStore:
         return len(merged)
 
 
-__all__ = ["SegmentStore", "StoreCorruptionError", "StoredEntry",
-           "is_segment_store"]
+__all__ = ["SegmentStore", "StoreCorruptionError", "StoredEntry"]

@@ -7,8 +7,8 @@ added, removed, or had its WCET refined), and acceptance sweeps walk grids
 of single-parameter mutations.  The plain
 :class:`~repro.analysis.cpa.ResponseTimeAnalysis` re-derives every busy
 window from scratch on each of these near-identical inputs; the
-:class:`AnalysisCache` added in PR 1 only helps when a task set is *exactly*
-identical to a previously analysed one.
+:class:`~repro.analysis.cache.AnalysisCache` only helps when a task set is
+*exactly* identical to a previously analysed one.
 
 :class:`IncrementalResponseTimeAnalysis` closes that gap with three exact
 (bit-identical) optimisations:
@@ -49,7 +49,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.batch import BatchResponseTimeAnalysis, congruence_signature
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis, ResponseTimeResult
 from repro.platform.tasks import Task, TaskSet
 
@@ -102,6 +101,27 @@ class _Snapshot:
 class IncrementalResponseTimeAnalysis:
     """Stateful, delta-aware drop-in for whole-task-set WCRT analysis.
 
+    PURPOSE: answer a stream of near-identical task sets (one task added,
+    removed or re-budgeted per step) from the previous analyses instead of
+    re-deriving every busy window: priority-delta reuse, warm-started
+    fixpoints and divergence carry-over, all bit-identical to a cold
+    :class:`~repro.analysis.cpa.ResponseTimeAnalysis`.  It is the miss path
+    behind :class:`~repro.analysis.cache.AnalysisCache` and the private
+    engine of the timing viewpoint and of
+    :class:`~repro.analysis.compositional.SystemAnalysis`.
+
+    WHEN TO USE: mutation chains and sweeps over the same processors —
+    MCC change requests, fleet admission waves, the E11 system-analysis
+    update sweep.  With the delta reuse switched off (cold analysis, shared
+    interference memo kept) the warm E11 sweep went from 0.18 s to 0.33 s
+    (two pairs on a 2-vCPU host).
+
+    WHEN NOT TO USE: one verdict on an unrelated task set.  There is no
+    base to reuse, and the scalar early-exit
+    :meth:`~repro.analysis.cpa.ResponseTimeAnalysis.schedulable` stops at
+    the first deadline miss: on the full E9 grid (same host) it takes
+    52 ms against 179 ms for this engine.
+
     Parameters
     ----------
     max_iterations:
@@ -110,26 +130,15 @@ class IncrementalResponseTimeAnalysis:
         Number of recent task-set snapshots kept for delta matching.
     memo_limit:
         Entry bound of the shared interference memo (cleared when exceeded).
-    batch_kernel:
-        When ``True``, :meth:`analyze_many` routes cold congruence groups
-        through the lockstep
-        :class:`~repro.analysis.batch.BatchResponseTimeAnalysis` kernel and
-        keeps the delta machinery for warm singletons.  Off by default: the
-        single-set :meth:`analyse` path and its counters are unaffected.
     """
 
     def __init__(self, max_iterations: int = 10_000, history_limit: int = 32,
-                 memo_limit: int = 1 << 16, batch_kernel: bool = False) -> None:
+                 memo_limit: int = 1 << 16) -> None:
         if history_limit <= 0:
             raise ValueError("history_limit must be positive")
         self.max_iterations = max_iterations
         self.history_limit = history_limit
         self.memo_limit = memo_limit
-        self.batch_kernel = bool(batch_kernel)
-        self._batch = BatchResponseTimeAnalysis(max_iterations=max_iterations)
-        #: Congruence groups below this lane count go to the scalar path —
-        #: lockstep setup costs more than it saves on near-singletons.
-        self.min_batch_lanes = 2
         self._history: "OrderedDict[Tuple[float, frozenset], _Snapshot]" = OrderedDict()
         self._memo = InterferenceMemo()
         #: Observability counters for tests and benchmark tables.
@@ -139,15 +148,13 @@ class IncrementalResponseTimeAnalysis:
         self.divergences_reused = 0
         self.full_analyses = 0
         self.delta_analyses = 0
-        self.batch_groups = 0
-        self.tasks_batched = 0
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def tasks_analysed(self) -> int:
         """Tasks whose busy window was actually (re-)iterated."""
-        return self.tasks_warm_started + self.tasks_cold + self.tasks_batched
+        return self.tasks_warm_started + self.tasks_cold
 
     @property
     def reuse_rate(self) -> float:
@@ -166,8 +173,6 @@ class IncrementalResponseTimeAnalysis:
         self.divergences_reused = 0
         self.full_analyses = 0
         self.delta_analyses = 0
-        self.batch_groups = 0
-        self.tasks_batched = 0
 
     # -- delta machinery ---------------------------------------------------
 
@@ -337,61 +342,16 @@ class IncrementalResponseTimeAnalysis:
     def analyze_many(self, tasksets: Iterable[TaskSet], speed_factor: float = 1.0,
                      event_models: Optional[Dict[str, EventModel]] = None
                      ) -> List[Dict[str, ResponseTimeResult]]:
-        """Batched analysis of a sweep grid.
+        """Analyse a sweep grid in input order.
 
         The task sets share the engine's snapshot history and interference
         memo, so grids of single-task mutations (the E9/in-field acceptance
         sweeps) are answered mostly from reused results and warm-started
-        fixpoints.  With ``batch_kernel`` enabled, sets that have no usable
-        snapshot base are additionally grouped by
-        :func:`~repro.analysis.batch.congruence_signature` and solved in
-        lockstep by the vectorized kernel; warm sets keep the delta path.
-        Either way the verdicts are bit-identical and results are returned
-        in input order.
+        fixpoints.  Identical to per-set :meth:`analyse` calls in the same
+        order.
         """
-        ordered = list(tasksets)
-        if not self.batch_kernel or len(ordered) < self.min_batch_lanes:
-            return [self.analyse(taskset, speed_factor=speed_factor,
-                                 event_models=event_models) for taskset in ordered]
-        results: List[Optional[Dict[str, ResponseTimeResult]]] = [None] * len(ordered)
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        if self._history:
-            for position, taskset in enumerate(ordered):
-                params = self._params_of(taskset, event_models)
-                if not params or self._find_base(speed_factor, params) is not None:
-                    # Warm (or empty) sets: the delta machinery answers these
-                    # from reuse/warm starts, bit-identically.
-                    results[position] = self.analyse(taskset, speed_factor,
-                                                     event_models)
-                else:
-                    groups.setdefault(congruence_signature(taskset),
-                                      []).append(position)
-        else:
-            for position, taskset in enumerate(ordered):
-                groups.setdefault(congruence_signature(taskset),
-                                  []).append(position)
-        for signature, positions in groups.items():
-            if len(positions) < self.min_batch_lanes:
-                for position in positions:
-                    results[position] = self.analyse(ordered[position],
-                                                     speed_factor, event_models)
-                continue
-            solved = self._batch.analyse_group(
-                [ordered[position] for position in positions],
-                speed_factor=speed_factor, event_models=event_models,
-                signature=signature)
-            self.batch_groups += 1
-            for position, lane_results in zip(positions, solved):
-                results[position] = lane_results
-                self.tasks_batched += len(lane_results)
-            # Snapshot only as many trailing lanes as the history can hold:
-            # earlier entries would be evicted immediately anyway.
-            for position, lane_results in zip(positions[-self.history_limit:],
-                                              solved[-self.history_limit:]):
-                self._remember(speed_factor,
-                               self._params_of(ordered[position], event_models),
-                               lane_results)
-        return results  # type: ignore[return-value]
+        return [self.analyse(taskset, speed_factor=speed_factor,
+                             event_models=event_models) for taskset in tasksets]
 
     #: British-spelling alias, matching the rest of the code base.
     analyse_many = analyze_many

@@ -447,10 +447,6 @@ SCENARIOS.register(Scenario(
                   coerce=bool),
         Parameter("deploy", False, "attach an execution-domain RTE per vehicle",
                   coerce=bool),
-        Parameter("batch_kernel", False,
-                  "solve cold admission batches with the vectorized lockstep "
-                  "busy-window kernel (bit-identical verdicts)",
-                  coerce=bool),
         Parameter("cache_store", None,
                   "append-only segment-store directory the campaign "
                   "warm-starts from and appends its analyses to",
@@ -602,10 +598,6 @@ SCENARIOS.register(Scenario(
                   "component placement heuristic (first_fit | worst_fit | best_fit)",
                   coerce=MappingStrategy),
         Parameter("deploy", True, "deploy accepted configurations to the RTE"),
-        Parameter("batch_kernel", False,
-                  "run the campaign on a fresh analysis cache whose cold "
-                  "batches use the vectorized lockstep busy-window kernel",
-                  coerce=bool),
     ],
     seed_param="seed",
     extract=_extract_infield_update,

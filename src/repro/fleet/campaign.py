@@ -412,7 +412,7 @@ class Campaign:
         Staging/halting policy.
     analysis_cache:
         The shared cache used for batched admission.  Required when
-        ``batch_admission``, ``batch_kernel`` or ``cache_store`` is on; for
+        ``batch_admission`` or ``cache_store`` is on; for
         the full effect the fleet should have been generated with the same
         cache.
     batch_admission:
@@ -449,20 +449,6 @@ class Campaign:
         WHEN NOT TO USE: the halt is handled in the same process — resume
         from :attr:`last_checkpoint` and skip the file write.  Unavailable
         together with ``adversity``.
-    batch_kernel:
-        PURPOSE: solve the shared cache's cold-miss batches with the
-        vectorized lockstep busy-window kernel
-        (:class:`~repro.analysis.batch.BatchResponseTimeAnalysis`).
-        Verdicts are bit-identical either way.
-
-        WHEN TO USE: waves whose cold analyses are congruent task sets
-        (per-vehicle perturbations of a few shared bases).  E12 times
-        800 congruent lanes at 0.059 s against 0.382 s scalar (6.5x).
-
-        WHEN NOT TO USE: mixed-congruence batches, where the lanes cannot
-        run in lockstep: on the mixed E9 grid the kernel took 387 ms
-        against 197 ms for the incremental engine.  Requires an
-        ``analysis_cache``.
     cache_store:
         PURPOSE: a durable, crash-safe
         :class:`~repro.analysis.cache_store.SegmentStore` directory that
@@ -523,7 +509,6 @@ class Campaign:
                  failure_injection_rate: float = 0.0,
                  feedback_seed: int = 0,
                  checkpoint_path: Optional[str] = None,
-                 batch_kernel: bool = False,
                  cache_store: Optional[str] = None,
                  adversity: Optional[AdversityModel] = None,
                  tracer: Optional[CampaignTracer] = None) -> None:
@@ -531,13 +516,8 @@ class Campaign:
             raise CampaignError("failure_injection_rate must be in [0, 1]")
         if batch_admission and analysis_cache is None:
             raise CampaignError("batched admission needs a shared analysis cache")
-        if batch_kernel and analysis_cache is None:
-            raise CampaignError("batch_kernel needs a shared analysis cache")
         if cache_store is not None and analysis_cache is None:
             raise CampaignError("cache_store needs an analysis cache to share")
-        if batch_kernel:
-            analysis_cache.engine.batch_kernel = True
-        self.batch_kernel = batch_kernel
         self.vehicles = list(vehicles)
         self.update_factory = update_factory
         self.policy = policy if policy is not None else WavePolicy()
@@ -549,10 +529,6 @@ class Campaign:
         self.cache_store = cache_store
         self.adversity = adversity
         self.tracer = tracer
-        if tracer is not None and analysis_cache is not None:
-            # The shared cache reports its lookup/merge events into the
-            # same trace (observation only).
-            analysis_cache.tracer = tracer
         #: The checkpoint written at the most recent halt (None before).
         self.last_checkpoint: Optional[CampaignCheckpoint] = None
         #: One-shot latch of :meth:`run` (see its docstring).
@@ -588,6 +564,9 @@ class Campaign:
         self._ran = True
         from repro.fleet.engine import CampaignEngine
         engine = CampaignEngine(self, resume_from=resume_from)
-        while not engine.done:
-            engine.step()
-        return engine.finalize()
+        try:
+            while not engine.done:
+                engine.step()
+            return engine.finalize()
+        finally:
+            engine.close()

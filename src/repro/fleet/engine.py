@@ -127,7 +127,9 @@ class CampaignEngine:
     * :attr:`done` reports whether a next wave exists (the plan is
       exhausted with no carry, or the campaign halted);
     * :meth:`finalize` runs the epilogue (store persistence, cache
-      counters, end trace) and returns the result;
+      counters, end trace), then :meth:`close`, and returns the result;
+    * :meth:`close` detaches the run's tracer from the shared cache and
+      closes the store handle (also for a run abandoned mid-way);
     * :meth:`checkpoint` serializes the current wave boundary.
 
     One engine executes one campaign run; it is not reusable after
@@ -161,6 +163,14 @@ class CampaignEngine:
                     "static wave plan a checkpoint records")
             start_wave = self._restore_checkpoint(resume_from, self.plan,
                                                   result)
+        #: The shared cache reports its lookup/merge events into this run's
+        #: trace (observation only); :meth:`close` hands the cache back its
+        #: previous tracer, so later untraced work on the same cache does not
+        #: write into a finished campaign's trace.
+        self._previous_cache_tracer = None
+        if campaign.tracer is not None and campaign.analysis_cache is not None:
+            self._previous_cache_tracer = campaign.analysis_cache.tracer
+            campaign.analysis_cache.tracer = campaign.tracer
         #: Handle on ``cache_store`` plus the keys known to be durable
         #: there, so run-end publication appends only the delta.
         self.store: Optional[SegmentStore] = None
@@ -405,7 +415,23 @@ class CampaignEngine:
                                  waves=len(result.waves))
             campaign.tracer.flush()
         self._finalized = True
+        self.close()
         return result
+
+    def close(self) -> None:
+        """Release the engine's hold on shared objects; idempotent.
+
+        Restores the analysis cache's previous tracer (when this run's is
+        still attached) and closes the ``cache_store`` writer handle.
+        :meth:`finalize` calls it; so does the admission service when a
+        step raises and the run is abandoned without a result.
+        """
+        cache = self.campaign.analysis_cache
+        if (cache is not None and self.campaign.tracer is not None
+                and cache.tracer is self.campaign.tracer):
+            cache.tracer = self._previous_cache_tracer
+        if self.store is not None:
+            self.store.close()
 
     def checkpoint(self, path: Optional[str] = None) -> CampaignCheckpoint:
         """Serialize the current wave boundary as a resumable checkpoint.

@@ -85,7 +85,6 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
                                 failure_injection_rate: float = 0.0,
                                 batch_admission: bool = True,
                                 deploy: bool = False,
-                                batch_kernel: bool = False,
                                 cache_store: Optional[str] = None,
                                 trace_path: Optional[str] = None,
                                 trace_deterministic: bool = False
@@ -95,11 +94,9 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
     The fleet, the per-variant update contracts and the simulated monitor
     feedback are all derived from ``seed``, so the result is a pure function
     of the parameters — batched and sequential admission included.
-    ``batch_kernel`` (requires ``batch_admission``) solves the admission
-    waves' cold analyses with the vectorized lockstep kernel, and
     ``cache_store`` warm-starts the analysis cache from (and appends this
-    run's analyses to) an append-only segment store; both pass straight
-    through to :class:`~repro.fleet.campaign.Campaign` and change wall time
+    run's analyses to) an append-only segment store; it passes straight
+    through to :class:`~repro.fleet.campaign.Campaign` and changes wall time
     only, never verdicts.
 
     ``trace_path`` attaches a :class:`~repro.observability.CampaignTracer`
@@ -111,9 +108,7 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
     spec = FleetSpec(size=fleet_size, seed=seed, heterogeneity=heterogeneity,
                      num_variants=num_variants, extra_components=extra_components,
                      deploy=deploy)
-    cache = AnalysisCache(batch_kernel=batch_kernel) if batch_admission else None
-    if batch_kernel and not batch_admission:
-        raise ValueError("batch_kernel requires batch_admission")
+    cache = AnalysisCache() if batch_admission else None
     vehicles = generate_fleet(spec, analysis_cache=cache)
 
     update_contracts: Dict[int, Contract] = {}
@@ -141,8 +136,8 @@ def run_fleet_campaign_scenario(fleet_size: int = 50, seed: int = 0,
     campaign = Campaign(vehicles, update_factory, policy=policy,
                         analysis_cache=cache, batch_admission=batch_admission,
                         failure_injection_rate=failure_injection_rate,
-                        feedback_seed=seed, batch_kernel=batch_kernel,
-                        cache_store=cache_store, tracer=tracer)
+                        feedback_seed=seed, cache_store=cache_store,
+                        tracer=tracer)
     outcome: CampaignResult = campaign.run()
     return FleetCampaignResult(
         fleet_size=outcome.fleet_size,

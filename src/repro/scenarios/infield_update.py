@@ -119,8 +119,7 @@ def run_infield_update_scenario(num_requests: int = 30, seed: int = 0,
                                 mapping_strategy: MappingStrategy = MappingStrategy.FIRST_FIT,
                                 deploy: bool = True,
                                 analysis_cache: Optional["AnalysisCache"] = None,
-                                use_analysis_cache: bool = True,
-                                batch_kernel: bool = False
+                                use_analysis_cache: bool = True
                                 ) -> InFieldUpdateResult:
     """Run one in-field update campaign through the MCC.
 
@@ -131,17 +130,9 @@ def run_infield_update_scenario(num_requests: int = 30, seed: int = 0,
     used — WCRT results are content-addressed, so sharing it across
     campaigns cannot change any verdict, it only removes re-derivations.
     ``use_analysis_cache=False`` opts out entirely (benchmark baselines).
-    ``batch_kernel`` runs the campaign on a fresh cache whose cold miss
-    batches go through the vectorized lockstep busy-window kernel
-    (bit-identical verdicts; requires ``use_analysis_cache``).
     """
-    if batch_kernel and not use_analysis_cache:
-        raise ValueError("batch_kernel requires use_analysis_cache")
     if analysis_cache is None and use_analysis_cache:
-        analysis_cache = (AnalysisCache(batch_kernel=True) if batch_kernel
-                          else default_cache())
-    elif analysis_cache is not None and batch_kernel:
-        analysis_cache.engine.batch_kernel = True
+        analysis_cache = default_cache()
     platform = build_baseline_platform(num_processors=num_processors)
     rte = RuntimeEnvironment(platform) if deploy else None
     mcc = MultiChangeController(platform, rte=rte, mapping_strategy=mapping_strategy,

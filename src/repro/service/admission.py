@@ -392,7 +392,7 @@ class AdmissionService:
         from repro.scenarios.fleet_campaign import build_update_contract
         request = job.request
         if job.fleet is None:
-            job.cache = AnalysisCache(batch_kernel=request.batch_kernel)
+            job.cache = AnalysisCache()
             spec = FleetSpec(size=request.fleet_size, seed=request.seed,
                              heterogeneity=request.heterogeneity,
                              num_variants=request.num_variants,
@@ -424,8 +424,7 @@ class AdmissionService:
             job.fleet, update_factory, policy=policy,
             analysis_cache=job.cache,
             failure_injection_rate=request.failure_injection_rate,
-            feedback_seed=request.seed,
-            batch_kernel=request.batch_kernel, cache_store=self.store_dir)
+            feedback_seed=request.seed, cache_store=self.store_dir)
         job.engine = CampaignEngine(job.campaign,
                                     resume_from=job.checkpoint)
 

@@ -84,7 +84,6 @@ class SubmitCampaign:
     max_failure_rate: float = 0.3
     rollback_on_halt: bool = True
     failure_injection_rate: float = 0.0
-    batch_kernel: bool = False
 
     def __post_init__(self) -> None:
         if not self.tenant or not isinstance(self.tenant, str):

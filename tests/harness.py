@@ -1,13 +1,13 @@
 """Shared differential-oracle harness for the analysis test suites.
 
 The repository's exactness tests all follow the same pattern: drive a fast
-engine (incremental, cached, batched, …) and a cold reference through the
+engine (incremental, cached, …) and a cold reference through the
 same randomized workload and fail on the first diverging bit.  This module
 holds the pieces those suites share:
 
-* UUniFast task-set generators (``make_taskset``, ``rebuild``) and the
-  field-by-field verdict comparator ``assert_equivalent`` used by the
-  incremental-CPA and batch-kernel suites;
+* UUniFast task-set generators (``make_taskset``, ``rebuild``,
+  ``perturbed_grid``) and the field-by-field verdict comparator
+  ``assert_equivalent`` used by the incremental-CPA and cache suites;
 * the from-scratch oracles ``cold_results`` (plain busy-window analysis)
   and :class:`ColdTimingAcceptanceTest` (a stateless MCC timing viewpoint)
   used by the MCC differential suite;
@@ -70,6 +70,18 @@ def rebuild(tasks) -> TaskSet:
     """A fresh TaskSet with fresh Task objects (same insertion order)."""
     return TaskSet([Task(t.name, period=t.period, wcet=t.wcet, deadline=t.deadline,
                          priority=t.priority, jitter=t.jitter) for t in tasks])
+
+
+def perturbed_grid(seed: int, n: int, utilization: float, variants: int,
+                   low: float = 0.7, high: float = 1.35) -> List[TaskSet]:
+    """An acceptance-sweep grid: one base set plus variants whose every
+    WCET is scaled by its own random factor (same names and priorities)."""
+    base = make_taskset(seed, n, utilization).tasks()
+    rng = SeededRNG(seed + 10_000)
+    grid = [rebuild(base)]
+    for _ in range(variants - 1):
+        grid.append(rebuild([t.scaled(rng.uniform(low, high)) for t in base]))
+    return grid
 
 
 def cold_results(taskset: TaskSet, speed_factor: float = 1.0,

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.cache import (
-    AnalysisCache,
-    CachedResponseTimeAnalysis,
-    fingerprint_taskset,
-    taskset_key,
-)
+from repro.analysis.cache import AnalysisCache, taskset_key
 from repro.analysis.cache_store import SegmentStore
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
 from repro.mcc.acceptance import TimingAcceptanceTest
@@ -26,26 +24,35 @@ def _taskset(wcet_high: float = 0.002) -> TaskSet:
 
 
 class TestFingerprint:
-    """Fingerprints depend on content, not identity or insertion order."""
+    """``taskset_key`` fingerprints the analysis input, field by field."""
 
     def test_identical_content_same_fingerprint(self):
-        assert fingerprint_taskset(_taskset()) == fingerprint_taskset(_taskset())
+        plain = _taskset()
+        # Fields the busy-window analysis never reads do not split the key.
+        tagged = TaskSet([replace(task, component="body", criticality="ASIL-D")
+                          for task in _taskset()])
+        assert taskset_key(plain) == taskset_key(tagged)
+        assert len({taskset_key(plain): 1, taskset_key(tagged): 2}) == 1
 
     def test_insertion_order_is_irrelevant(self):
-        forward = _taskset()
-        backward = TaskSet(list(reversed(forward.tasks())))
-        assert fingerprint_taskset(forward) == fingerprint_taskset(backward)
+        models = {"t_mid": EventModel(0.02, 0.001)}
+        base = taskset_key(_taskset(), speed_factor=0.8, event_models=models)
+        for order in itertools.permutations(_taskset().tasks()):
+            assert taskset_key(TaskSet(list(order)), speed_factor=0.8,
+                               event_models=models) == base
 
     def test_parameter_changes_change_fingerprint(self):
-        base = fingerprint_taskset(_taskset())
-        assert fingerprint_taskset(_taskset(wcet_high=0.003)) != base
-        assert fingerprint_taskset(_taskset(), speed_factor=0.5) != base
-        assert fingerprint_taskset(
-            _taskset(), event_models={"t_high": EventModel(0.01, 0.001)}) != base
+        base = taskset_key(_taskset())
+        for field, value in [("name", "t_renamed"), ("period", 0.011),
+                             ("wcet", 0.0021), ("deadline", 0.009),
+                             ("priority", 5), ("jitter", 0.0005)]:
+            tasks = _taskset().tasks()
+            tasks[0] = replace(tasks[0], **{field: value})
+            assert taskset_key(TaskSet(tasks)) != base, field
 
 
 class TestTasksetKey:
-    """The exact tuple key underlying the fingerprint."""
+    """The cache key depends on content, not identity or insertion order."""
 
     def test_key_matches_for_equal_content(self):
         assert taskset_key(_taskset()) == taskset_key(_taskset())
@@ -291,38 +298,6 @@ class TestSnapshotPersistence:
         fresh = cache.export_entries(exclude=baseline)
         assert len(fresh) == 1
 
-    def test_pickled_cache_travels_empty(self):
-        """Pickling a cache object (as a rider inside a pickled vehicle)
-        deliberately ships capacity only — warm starts are explicit via a
-        segment store, and verdicts never depend on cache contents."""
-        import pickle
-        cache = AnalysisCache(max_entries=7)
-        cache.analyse(_taskset())
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert len(clone) == 0
-        assert (clone.hits, clone.misses) == (0, 0)
-        # The clone still works as a cache afterwards.
-        clone.analyse(_taskset())
-        assert clone.misses == 1
-
-
-class TestCachedResponseTimeAnalysis:
-    """The drop-in facade matches the plain analysis."""
-
-    def test_matches_plain_analysis(self):
-        cache = AnalysisCache()
-        cached = CachedResponseTimeAnalysis(_taskset(), cache)
-        plain = ResponseTimeAnalysis(_taskset())
-        assert cached.schedulable() == plain.schedulable()
-        assert cached.utilization() == pytest.approx(plain.utilization())
-        result = cached.response_time("t_mid")
-        assert result.wcrt == pytest.approx(plain.response_time(
-            plain.taskset.get("t_mid")).wcrt)
-        # Second facade over an equal task set hits the shared cache.
-        CachedResponseTimeAnalysis(_taskset(), cache).schedulable()
-        assert cache.hits > 0
-
 
 class TestMccIntegration:
     """The cache plugs into the timing acceptance test and the E1 scenario."""
@@ -362,10 +337,10 @@ class TestMccIntegration:
         assert cache.hits > hits_after_first
 
 
-class TestBatchKernelOrderPreservation:
-    """Regression: `analyse_many` must return results in input order even
-    when cold misses are re-batched by congruence group inside the
-    batch-kernel engine (which solves groups out of input order)."""
+class TestAnalyseManyOrderPreservation:
+    """Regression: ``analyse_many`` returns results in input order when a
+    wave interleaves hits, misses and intra-batch duplicates across task
+    sets of different shapes."""
 
     @staticmethod
     def _grid():
@@ -373,7 +348,7 @@ class TestBatchKernelOrderPreservation:
         from repro.sim.random import SeededRNG
         rng = SeededRNG(31)
         sets = []
-        for seed in range(3):  # three congruence groups ...
+        for seed in range(3):  # three task-set shapes ...
             base = make_taskset(seed + 40, 5 + seed, 0.7).tasks()
             for _ in range(3):  # ... of three perturbed members each
                 sets.append(rebuild([t.scaled(rng.uniform(0.8, 1.25))
@@ -383,12 +358,10 @@ class TestBatchKernelOrderPreservation:
     def test_interleaved_hits_misses_and_duplicates(self):
         from harness import assert_equivalent, cold_results
         sets = self._grid()
-        cache = AnalysisCache(batch_kernel=True)
-        assert cache.batch_kernel
+        cache = AnalysisCache()
         # Warm three entries so the wave below interleaves hits with misses.
         cache.analyse_many([sets[0], sets[4], sets[8]])
-        # Hit, miss, duplicate-miss, hit, miss — deliberately shuffled across
-        # congruence groups so the engine regroups them internally.
+        # Hit, miss, duplicate-miss, hit, miss — shuffled across shapes.
         wave = [sets[4], sets[1], sets[5], sets[1], sets[0],
                 sets[7], sets[2], sets[8], sets[5], sets[6]]
         results = cache.analyse_many(wave)
@@ -403,17 +376,9 @@ class TestBatchKernelOrderPreservation:
     def test_batched_wave_equals_sequential_lookups(self):
         from harness import assert_equivalent
         sets = self._grid()
-        batched_cache = AnalysisCache(batch_kernel=True)
+        batched = AnalysisCache().analyse_many(sets)
         sequential_cache = AnalysisCache()
-        batched = batched_cache.analyse_many(sets)
         sequential = [sequential_cache.analyse(taskset) for taskset in sets]
         for position in range(len(sets)):
             assert_equivalent(batched[position], sequential[position],
                               f"position={position}")
-
-    def test_pickle_roundtrip_keeps_batch_kernel(self):
-        import pickle
-        cache = AnalysisCache(batch_kernel=True)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.batch_kernel
-        assert not pickle.loads(pickle.dumps(AnalysisCache())).batch_kernel

@@ -26,7 +26,7 @@ def _write_record(directory, name, payload, quick=False, **extra):
 
 @pytest.fixture
 def records_dir(tmp_path):
-    _write_record(tmp_path, "e12_batch_kernel",
+    _write_record(tmp_path, "e12_lockstep",
                   {"lanes": 800, "tasks_per_lane": 16, "numpy": True,
                    "scalar_s": 0.30, "batch_s": 0.05, "speedup": 6.0})
     _write_record(tmp_path, "e9_incremental_speedup",
@@ -41,7 +41,7 @@ class TestLoadBenchRecords:
     def test_loads_and_sorts_by_name(self, records_dir):
         records, skipped = load_bench_records(str(records_dir))
         assert [r["name"] for r in records] == [
-            "e12_batch_kernel", "e12_pure_path", "e9_incremental_speedup"]
+            "e12_lockstep", "e12_pure_path", "e9_incremental_speedup"]
         assert skipped == []
 
     def test_corrupt_and_foreign_files_are_skipped_not_fatal(self, records_dir):
@@ -64,7 +64,7 @@ class TestBenchHistoryRows:
         records, _ = load_bench_records(str(records_dir))
         rows = bench_history_rows(records)
         by_bench = {row["bench"]: row for row in rows}
-        assert by_bench["e12_batch_kernel"]["speedup"] == "6.00x"
+        assert by_bench["e12_lockstep"]["speedup"] == "6.00x"
         assert by_bench["e9_incremental_speedup"]["speedup"] == "6.00x"
         assert by_bench["e12_pure_path"]["speedup"] == "-"
 
@@ -73,16 +73,16 @@ class TestBenchHistoryRows:
         rows = bench_history_rows(records)
         by_bench = {row["bench"]: row for row in rows}
         assert by_bench["e9_incremental_speedup"]["quick"] is True
-        assert by_bench["e12_batch_kernel"]["quick"] is False
-        assert "lanes=800" in by_bench["e12_batch_kernel"]["metrics"]
-        assert "batch_s=0.05" in by_bench["e12_batch_kernel"]["metrics"]
+        assert by_bench["e12_lockstep"]["quick"] is False
+        assert "lanes=800" in by_bench["e12_lockstep"]["metrics"]
+        assert "batch_s=0.05" in by_bench["e12_lockstep"]["metrics"]
         # The headline key stays out of the catch-all metrics column.
-        assert "speedup=" not in by_bench["e12_batch_kernel"]["metrics"]
+        assert "speedup=" not in by_bench["e12_lockstep"]["metrics"]
 
     def test_booleans_are_not_mistaken_for_metrics(self, records_dir):
         records, _ = load_bench_records(str(records_dir))
         row = next(r for r in bench_history_rows(records)
-                   if r["bench"] == "e12_batch_kernel")
+                   if r["bench"] == "e12_lockstep")
         assert "numpy=" not in row["metrics"]
 
 
@@ -90,7 +90,7 @@ class TestCli:
     def test_bench_history_command(self, records_dir, capsys):
         assert main(["bench-history", "--dir", str(records_dir)]) == 0
         out = capsys.readouterr().out
-        assert "e12_batch_kernel" in out
+        assert "e12_lockstep" in out
         assert "6.00x" in out
 
     def test_bench_history_warns_on_corrupt_records(self, records_dir, capsys):
@@ -203,7 +203,7 @@ class TestBenchTrajectory:
         assert document["schema"] == 1
         assert {(entry["bench"], entry["mode"])
                 for entry in document["series"]} == {
-                    ("e12_batch_kernel", "full"),
+                    ("e12_lockstep", "full"),
                     ("e9_incremental_speedup", "quick")}
         assert document["unplotted"] == ["e12_pure_path[full]"]
         assert "trajectory written to" in capsys.readouterr().out

@@ -17,8 +17,7 @@ import struct
 import pytest
 
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.cache_store import (SegmentStore, StoreCorruptionError,
-                                        is_segment_store)
+from repro.analysis.cache_store import SegmentStore, StoreCorruptionError
 from repro.platform.tasks import Task, TaskSet
 
 
@@ -43,7 +42,7 @@ class TestSegmentStoreBasics:
         assert store.append([]) == 0
         assert not path.exists()  # empty batch: no frame, no directory
         assert store.append([_entry("a")]) == 1
-        assert is_segment_store(str(path))
+        assert (path / "MANIFEST.json").is_file()
 
     def test_append_read_roundtrip(self, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
@@ -82,13 +81,6 @@ class TestSegmentStoreBasics:
     def test_writer_id_rejects_path_separators(self, tmp_path):
         with pytest.raises(ValueError):
             SegmentStore(str(tmp_path), writer_id="../escape")
-
-    def test_is_segment_store(self, tmp_path):
-        assert not is_segment_store(str(tmp_path / "nope"))
-        assert not is_segment_store(str(tmp_path))  # dir without manifest
-        store = SegmentStore(str(tmp_path / "store"))
-        store.append([_entry("a")])
-        assert is_segment_store(str(tmp_path / "store"))
 
 
 class TestDurabilityProtocol:

@@ -342,10 +342,9 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      failure_injection_rate=2.0)
-        with pytest.raises(CampaignError):
-            # The batch kernel runs inside the shared cache's engine.
-            Campaign([], update_factory_for(), analysis_cache=None,
-                     batch_admission=False, batch_kernel=True)
+        with pytest.raises(TypeError, match="batch_kernel"):
+            Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
+                     batch_kernel=True)  # removed knob
 
 
 class TestSequentialDifferential:
@@ -393,12 +392,11 @@ class TestSequentialDifferential:
                                      HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(min_value=0, max_value=10_000),
            failure_rate=st.sampled_from([0.0, 0.4]),
-           batch_kernel=st.booleans(),
            store=st.booleans())
     def test_differential_random_knobs(self, tmp_path, seed, failure_rate,
-                                       batch_kernel, store):
-        """Random batch-kernel × warm-start-medium combinations may never
-        change a verdict relative to sequential admission."""
+                                       store):
+        """Random warm-start-medium choices may never change a verdict
+        relative to sequential admission."""
         policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.25)
         fleet_seq, _, sequential = run_campaign(10, seed, batched=False,
@@ -408,9 +406,7 @@ class TestSequentialDifferential:
             if store else {}
         fleet_bat, _, batched = run_campaign(10, seed,
                                              failure_rate=failure_rate,
-                                             policy=policy,
-                                             batch_kernel=batch_kernel,
-                                             **media)
+                                             policy=policy, **media)
         assert campaign_digest(batched) == campaign_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from harness import assert_equivalent, make_taskset, rebuild
+from harness import (assert_equivalent, cold_results, make_taskset,
+                     perturbed_grid, rebuild)
 from repro.analysis.cpa import EventModel, ResponseTimeAnalysis
 from repro.analysis.incremental import IncrementalResponseTimeAnalysis
 from repro.platform.tasks import Task, TaskSet
@@ -40,6 +41,16 @@ class TestFreshTaskSetEquivalence:
                 engine.analyse(taskset, speed_factor=speed),
                 ResponseTimeAnalysis(taskset, speed_factor=speed).analyse(),
                 f"speed={speed}")
+        # A perturbed grid per speed factor, through the batched entry point.
+        grid = perturbed_grid(7, 7, 0.65, variants=6)
+        for speed in (1.0, 0.8, 0.4):
+            for lane, results in enumerate(engine.analyze_many(
+                    grid, speed_factor=speed)):
+                assert_equivalent(results,
+                                  cold_results(grid[lane], speed_factor=speed),
+                                  f"grid speed={speed} lane={lane}")
+        with pytest.raises(ValueError):
+            IncrementalResponseTimeAnalysis().analyse(taskset, speed_factor=0.0)
 
     def test_event_model_overrides(self):
         engine = IncrementalResponseTimeAnalysis()
@@ -53,6 +64,59 @@ class TestFreshTaskSetEquivalence:
         assert_equivalent(engine.analyse(taskset),
                           ResponseTimeAnalysis(taskset).analyse(),
                           "after event models")
+        # Overrides over a perturbed grid, through the batched entry point.
+        grid = perturbed_grid(7, 7, 0.65, variants=6)
+        grid_models = {
+            "t0": EventModel(period=grid[0].get("t0").period, jitter=0.002),
+            "t3": EventModel(period=grid[0].get("t3").period * 0.9,
+                             jitter=0.001)}
+        for lane, results in enumerate(engine.analyze_many(
+                grid, event_models=grid_models)):
+            assert_equivalent(results,
+                              cold_results(grid[lane], event_models=grid_models),
+                              f"grid event models lane={lane}")
+
+    def test_fixpoint_edge_cases(self):
+        """Adversarial busy-window shapes: WCETs at the validation floor,
+        tied priorities (strictly-higher interference only), a WCRT landing
+        exactly on the deadline, and starved iteration budgets."""
+        vanishing = []
+        for seed in range(3):
+            tasks = make_taskset(seed, 6, 0.6).tasks()
+            for index in (0, 3):
+                tasks[index] = Task(tasks[index].name,
+                                    period=tasks[index].period, wcet=1e-12,
+                                    priority=tasks[index].priority)
+            vanishing.append(rebuild(tasks))
+        ties = []
+        for seed in range(3):
+            periods = SeededRNG(seed).log_uniform_periods(6, 0.01, 0.2)
+            ties.append(TaskSet([Task(f"t{i}", period=p, wcet=p * 0.12,
+                                      priority=i // 2)
+                                 for i, p in enumerate(periods)]))
+        touching = [TaskSet([Task("hi", period=4.0, wcet=1.0, priority=0),
+                             Task("lo", period=16.0, wcet=wcet, deadline=4.0,
+                                  priority=1)])
+                    for wcet in (3.0, 3.0 + 1e-6)]
+        engine = IncrementalResponseTimeAnalysis()
+        for index, taskset in enumerate(vanishing + ties + touching):
+            assert_equivalent(engine.analyse(taskset), cold_results(taskset),
+                              f"edge case {index}")
+        exact, over = (engine.analyse(taskset) for taskset in touching)
+        assert exact["lo"].wcrt == 4.0 and exact["lo"].schedulable
+        assert not over["lo"].schedulable
+        # A truncated fixpoint depends on its starting iterate, so only a
+        # cold-history engine is bound to the cold truncation.
+        for cap in (1, 2, 3, 5):
+            for seed in range(2):
+                for utilization in (0.9, 1.2):
+                    taskset = make_taskset(seed, 7, utilization)
+                    assert_equivalent(
+                        IncrementalResponseTimeAnalysis(
+                            max_iterations=cap).analyse(taskset),
+                        ResponseTimeAnalysis(taskset,
+                                             max_iterations=cap).analyse(),
+                        f"cap={cap} seed={seed} u={utilization}")
 
 
 class TestMutationChainEquivalence:
@@ -143,6 +207,23 @@ class TestBatchedApi:
         for taskset, results in zip(grids, batched):
             assert_equivalent(results, ResponseTimeAnalysis(taskset).analyse(),
                               "analyze_many")
+        # Whole-set perturbation grids: every WCET moves at once, up or
+        # down, at several loads — including over-utilized lanes whose busy
+        # windows diverge next to schedulable ones.
+        for utilization in (0.5, 0.75, 0.9, 1.05):
+            for seed in (0, 1, 2):
+                grid = perturbed_grid(seed, 8, utilization, variants=12)
+                for lane, results in enumerate(engine.analyze_many(grid)):
+                    assert_equivalent(results, cold_results(grid[lane]),
+                                      f"seed={seed} u={utilization} lane={lane}")
+        grid = (perturbed_grid(4, 6, 1.3, variants=4)
+                + perturbed_grid(5, 6, 0.5, variants=4))
+        diverged = 0
+        for lane, results in enumerate(engine.analyze_many(grid)):
+            cold = cold_results(grid[lane])
+            assert_equivalent(results, cold, f"divergent lane={lane}")
+            diverged += sum(1 for r in cold.values() if not r.converged)
+        assert diverged > 0, "the grid must actually exercise divergence"
 
     def test_empty_batch_returns_empty_list(self):
         """Edge case pinned for the fleet campaign: an empty wave."""
@@ -162,6 +243,7 @@ class TestBatchedApi:
     def test_empty_taskset_analyses_to_empty_results(self):
         engine = IncrementalResponseTimeAnalysis()
         assert engine.analyse(TaskSet()) == {}
+        assert engine.analyze_many([TaskSet()]) == [{}]
         assert engine.schedulable(TaskSet())  # vacuously schedulable
 
     def test_all_unschedulable_batch(self):

@@ -32,6 +32,7 @@ class TestMetricSeries:
         assert summary.count == 10
         assert summary.mean == pytest.approx(4.5)
         assert summary.minimum == 0.0 and summary.maximum == 9.0
+        assert summary.std == pytest.approx(math.sqrt(8.25))  # population
         assert series.last == 9.0
 
     def test_window_eviction(self):
@@ -49,7 +50,12 @@ class TestMetricSeries:
             series.sample(0.5, 0.0)
 
     def test_empty_summary_is_nan(self):
-        assert math.isnan(MetricSeries("m").summary().mean)
+        series = MetricSeries("m")
+        for summary in (series.summary(), series.summary(since=1.0)):
+            assert summary.count == 0
+            assert all(math.isnan(value) for value in (
+                summary.mean, summary.minimum, summary.maximum, summary.std,
+                summary.last))
 
     def test_rate(self):
         series = MetricSeries("m")

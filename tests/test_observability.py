@@ -1,5 +1,5 @@
-"""Campaign observability: tracer, engine instrumentation, metrics bridge,
-numpy-optional metric summaries and the dashboard.
+"""Campaign observability: tracer, engine instrumentation, metrics bridge
+and the dashboard.
 
 The load-bearing guarantees pinned here:
 
@@ -22,15 +22,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.monitoring.metrics as metrics_module
-from repro.monitoring.metrics import MetricSeries
 from repro.observability import (WALL_CLOCK_FIELDS, CampaignTracer,
                                  TraceError, campaign_metric_registry,
                                  flatten_result_documents, load_trace,
                                  render_dashboard, wave_latencies)
 from repro.observability.metrics_bridge import ADMISSION_SOURCE, WAVE_SOURCE
 
-from harness import campaign_digest, fleet_digest, run_campaign
+from harness import campaign_digest, fleet_digest, make_factory, run_campaign
 
 
 class TestTracerUnit:
@@ -119,6 +117,41 @@ class TestTracedCampaigns:
         assert traced.cache_misses == untraced.cache_misses
         assert traced.engine_reuse_rate == untraced.engine_reuse_rate
 
+    def test_tracer_detaches_from_the_shared_cache(self):
+        """A traced run hands the shared cache back its previous tracer on
+        finalize (or on close, when abandoned mid-way), so later work on the
+        same cache never writes into a finished campaign's trace."""
+        from repro.analysis.cache import AnalysisCache
+        from repro.fleet.campaign import Campaign
+        from repro.fleet.engine import CampaignEngine
+        from repro.fleet.vehicle import FleetSpec, generate_fleet
+
+        cache = AnalysisCache()
+
+        def campaign(seed, tracer=None):
+            spec = FleetSpec(size=12, seed=seed, num_variants=4,
+                             extra_components=2)
+            return Campaign(generate_fleet(spec, analysis_cache=cache),
+                            make_factory(), analysis_cache=cache,
+                            tracer=tracer)
+
+        finished = CampaignTracer()
+        campaign(4, finished).run()
+        recorded = len(finished.events)
+        assert recorded > 0 and cache.tracer is None
+        campaign(5).run()
+        assert len(finished.events) == recorded
+        # A tracer the caller attached itself survives a traced run ...
+        outer = CampaignTracer()
+        cache.tracer = outer
+        campaign(6, CampaignTracer()).run()
+        assert cache.tracer is outer
+        # ... and an engine abandoned after one wave restores it on close.
+        engine = CampaignEngine(campaign(7, CampaignTracer()))
+        engine.step()
+        engine.close()
+        assert cache.tracer is outer
+
     def test_deterministic_trace_is_byte_identical_across_runs(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
@@ -186,37 +219,6 @@ class TestMetricsBridge:
                       "rejected": 0, "failure_rate": 0.0}]
         registry = campaign_metric_registry(Plain())
         assert registry.last(WAVE_SOURCE, "admitted") == 2.0
-
-
-class TestNumpyOptionalMetrics:
-    def test_pure_python_summary_matches_numpy(self, monkeypatch):
-        series = MetricSeries("test.series", window=64)
-        for index, value in enumerate([1.0, 2.5, -3.0, 4.25, 0.0]):
-            series.sample(float(index), value)
-        with_numpy = series.summary()
-        monkeypatch.setattr(metrics_module, "_np", None)
-        pure = series.summary()
-        assert pure.count == with_numpy.count
-        assert pure.mean == pytest.approx(with_numpy.mean)
-        assert pure.minimum == with_numpy.minimum
-        assert pure.maximum == with_numpy.maximum
-        assert pure.std == pytest.approx(with_numpy.std)  # population ddof=0
-        assert pure.last == with_numpy.last
-
-    def test_pure_python_empty_summary(self, monkeypatch):
-        monkeypatch.setattr(metrics_module, "_np", None)
-        summary = MetricSeries("test.empty").summary()
-        assert summary.count == 0 and summary.mean != summary.mean
-
-    def test_env_gate_disables_numpy(self):
-        env = dict(os.environ, REPRO_FORCE_PURE_BATCH="1")
-        import subprocess
-        import sys
-        code = ("import repro.monitoring.metrics as m; "
-                "print(m.numpy_available())")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
 
 
 class TestDashboard:

@@ -45,7 +45,7 @@ SUBMIT = SubmitCampaign(tenant="acme", fleet_size=8, seed=3)
 
 def reference_result(request: SubmitCampaign):
     """Isolated ``Campaign.run()`` of one submission — the tenancy oracle."""
-    cache = AnalysisCache(batch_kernel=request.batch_kernel)
+    cache = AnalysisCache()
     fleet = generate_fleet(
         FleetSpec(size=request.fleet_size, seed=request.seed,
                   heterogeneity=request.heterogeneity,
@@ -70,8 +70,7 @@ def reference_result(request: SubmitCampaign):
                         rollback_on_halt=request.rollback_on_halt)
     campaign = Campaign(fleet, factory, policy=policy, analysis_cache=cache,
                         failure_injection_rate=request.failure_injection_rate,
-                        feedback_seed=request.seed,
-                        batch_kernel=request.batch_kernel)
+                        feedback_seed=request.seed)
     return campaign.run()
 
 
@@ -100,6 +99,41 @@ class TestLifecycle:
         assert not any(record.halted for record in progress)
         assert status.admitted == result.admitted == SUBMIT.fleet_size
         assert status.update_coverage == 1.0
+
+    def test_raising_step_fails_the_job_and_closes_its_engine(
+            self, monkeypatch):
+        """A step that raises marks the job FAILED with the error and closes
+        its engine; the service keeps serving other jobs."""
+        from repro.fleet.engine import CampaignEngine
+        closed = []
+        original_step, original_close = CampaignEngine.step, CampaignEngine.close
+
+        def close(engine):
+            closed.append(engine.campaign.feedback_seed)
+            original_close(engine)
+
+        monkeypatch.setattr(CampaignEngine, "close", close)
+
+        def step(engine):
+            if engine.campaign.feedback_seed == 13:
+                raise RuntimeError("injected step failure")
+            return original_step(engine)
+
+        monkeypatch.setattr(CampaignEngine, "step", step)
+
+        async def drive():
+            async with AdmissionService() as service:
+                failing = await service.submit(
+                    SubmitCampaign(tenant="acme", fleet_size=8, seed=13))
+                healthy = await service.submit(SUBMIT)
+                return (await service.wait(failing.job_id),
+                        await service.wait(healthy.job_id))
+
+        failed, healthy = asyncio.run(drive())
+        assert failed.state == JobState.FAILED
+        assert "injected step failure" in failed.error
+        assert 13 in closed
+        assert healthy.state == JobState.COMPLETED
 
     def test_late_subscriber_replays_backlog(self):
         async def drive():
@@ -273,6 +307,8 @@ class TestValidation:
             SubmitCampaign(tenant="acme", fleet_size=0)
         with pytest.raises(TypeError, match="workers"):
             SubmitCampaign(tenant="acme", workers=2)  # removed knob
+        with pytest.raises(TypeError, match="batch_kernel"):
+            SubmitCampaign(tenant="acme", batch_kernel=True)  # removed knob
         with pytest.raises(ServiceError, match="staging policy"):
             SubmitCampaign(tenant="acme", wave_fractions=(0.5, 0.1))
         with pytest.raises(ServiceError, match="job_id"):
