@@ -120,17 +120,17 @@ def test_e17_multi_tenant_admission_throughput(benchmark):
     requests = _requests(tenants, campaigns, fleet_size)
     assert tenants >= 2  # the record must pin >= 2 concurrent tenants
 
-    # min-of-N on the shared-store service wall, fresh store per repeat so
-    # every repeat measures the same cold-store protocol.
+    # min-of-N on both arms over the same repeat count, fresh store per
+    # shared repeat so every repeat measures the same cold-store protocol.
     repeats = 2 if quick_mode() else 3
-    shared_wall = float("inf")
+    shared_wall = isolated_wall = float("inf")
     shared_results: Dict[str, CampaignResult] = {}
     for _ in range(repeats):
         with tempfile.TemporaryDirectory(prefix="repro_e17_") as store_dir:
             wall, results = _drive(requests, store_dir)
             if wall < shared_wall:
                 shared_wall, shared_results = wall, results
-    isolated_wall, _ = _drive(requests, store_dir=None)
+        isolated_wall = min(isolated_wall, _drive(requests, store_dir=None)[0])
 
     # Tenancy identity: per-tenant results byte-identical to isolated runs.
     receipts_order = list(shared_results)

@@ -329,7 +329,8 @@ class CampaignEngine:
                 campaign.tracer.emit("vehicle.admit", wave=wave_index,
                                      vehicle=vehicle.vehicle_id,
                                      accepted=report.accepted,
-                                     replayed=replayed)
+                                     replayed=replayed,
+                                     failed=report.failed_viewpoints())
             if report.accepted:
                 vehicle.updated = True
                 record.admitted += 1

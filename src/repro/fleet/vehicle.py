@@ -7,7 +7,9 @@ the set of baseline components.  :func:`generate_fleet` instantiates such a
 fleet deterministically from a single seed — every vehicle carries its own
 :class:`~repro.platform.resources.Platform` model and its own
 :class:`~repro.mcc.controller.MultiChangeController`, exactly as the paper's
-in-field update process runs per vehicle.
+in-field update process runs per vehicle.  Vehicles of one variant pose the
+identical baseline integration problem, so the first one integrates it and
+its siblings adopt the result (see :func:`generate_fleet`).
 
 The variant structure is what makes fleet-scale admission batchable: vehicles
 of the same variant produce identical candidate task sets for the same
@@ -19,12 +21,13 @@ warm-starts the remaining variants off each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.cache import AnalysisCache
 from repro.contracts.language import ContractParser
 from repro.contracts.model import Contract
 from repro.mcc.acceptance import AcceptanceTest, default_acceptance_tests
+from repro.mcc.configuration import IntegrationReport
 from repro.mcc.controller import MccSnapshot, MultiChangeController
 from repro.mcc.mapping import MappingStrategy
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
@@ -260,6 +263,21 @@ def generate_fleet(spec: FleetSpec,
                    ) -> List["FleetVehicle"]:
     """Instantiate a fleet: per-vehicle platforms and MCCs, baselines deployed.
 
+    Variant-template build: the first vehicle of each variant runs the full
+    baseline integration — one ``add_component`` per contract of
+    :func:`variant_contracts`, every viewpoint's acceptance test each time.
+    Every later vehicle of that variant gets its own platform, RTE (with
+    ``spec.deploy``), acceptance battery and
+    :class:`~repro.mcc.controller.MultiChangeController`, then adopts the
+    first vehicle's outcome: ``rollback`` onto its snapshot (which also
+    deploys into the vehicle's own RTE) and a copy of its report list, so
+    the audit log and :meth:`~MultiChangeController.acceptance_rate` read
+    as if the vehicle had integrated on its own.  This rests on the
+    invariant :meth:`~MultiChangeController.replay_change` already relies
+    on — identical variant, contracts and requests give an identical
+    integration result — and on adopted :class:`SystemModel` objects never
+    being mutated in place, which lets siblings share them.
+
     Pass a shared :class:`AnalysisCache` to let all vehicles' timing
     acceptance tests share one content-addressed store plus one incremental
     engine (the batched-admission mode); without it every vehicle admits in
@@ -270,11 +288,15 @@ def generate_fleet(spec: FleetSpec,
     viewpoint battery: the factory is called once per vehicle with its
     variant and platform and returns additional tests (e.g. a
     :class:`~repro.mcc.acceptance.DistributedTimingAcceptanceTest` checking
-    cross-ECU end-to-end deadlines during campaign admission).
+    cross-ECU end-to-end deadlines during campaign admission).  It must be
+    a pure function of the variant and the platform's shape — campaign
+    replay assumes the same — because only the first vehicle of a variant
+    runs its baseline through those tests.
     """
     variants = generate_variants(spec)
     contracts_by_variant = {variant.index: variant_contracts(variant, spec)
                             for variant in variants}
+    templates: Dict[int, Tuple[MccSnapshot, Tuple[IntegrationReport, ...]]] = {}
     vehicles: List[FleetVehicle] = []
     for index in range(spec.size):
         variant = variants[index % len(variants)]
@@ -288,15 +310,20 @@ def generate_fleet(spec: FleetSpec,
                                     acceptance_tests=acceptance_tests,
                                     mapping_strategy=spec.mapping_strategy,
                                     analysis_cache=analysis_cache)
-        for contract in contracts_by_variant[variant.index]:
-            report = mcc.add_component(contract)
-            if not report.accepted:
-                if contract.component in _CORE_COMPONENTS:
-                    raise RuntimeError(
-                        f"vehicle {index} rejected its baseline: {report.summary()}")
+        template = templates.get(variant.index)
+        if template is None:
+            for contract in contracts_by_variant[variant.index]:
+                report = mcc.add_component(contract)
                 # An optional app that does not fit this build simply is not
                 # installed on it — variants legitimately differ in their
-                # installed base.
-                continue
+                # installed base.  A rejected core component is a bug.
+                if not report.accepted and contract.component in _CORE_COMPONENTS:
+                    raise RuntimeError(
+                        f"vehicle {index} rejected its baseline: {report.summary()}")
+            templates[variant.index] = (mcc.snapshot(), tuple(mcc.reports))
+        else:
+            snapshot, reports = template
+            mcc.rollback(snapshot)
+            mcc.reports = list(reports)
         vehicles.append(FleetVehicle(index, variant, platform, mcc))
     return vehicles

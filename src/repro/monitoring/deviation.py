@@ -11,7 +11,7 @@ suggestions (updated nominal values learned from observations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitoring.anomaly import Anomaly, AnomalySeverity, AnomalyType
@@ -166,6 +166,9 @@ class DeviationDetector:
         for key, nominal in suggestions.items():
             expectation = self._expectations.get(key)
             if expectation is not None and expectation.nominal != nominal:
-                expectation.nominal = nominal
+                # Replace, never mutate: expectations loaded from an MCC are
+                # shared with its snapshots (and, on a fleet, with every
+                # vehicle of the variant).
+                self._expectations[key] = replace(expectation, nominal=nominal)
                 changed += 1
         return changed

@@ -18,7 +18,10 @@ holds the pieces those suites share:
   ``frame_workloads`` hypothesis strategy used by the CAN RTA suite;
 * fleet-campaign fixtures (``make_factory``, ``run_campaign``) and the
   result/fleet digests (``campaign_digest``, ``fleet_digest``) that the
-  campaign, engine, adversity, observability and service suites compare.
+  campaign, engine, adversity, observability and service suites compare;
+* the per-vehicle fleet oracle ``per_vehicle_fleet``: every vehicle runs
+  its own baseline integration, the reference for the variant-template
+  build of :func:`~repro.fleet.vehicle.generate_fleet`.
 
 Everything here is deterministic given the caller's seeds — extracting it
 changed no seed and no behaviour, only the import site.
@@ -39,10 +42,15 @@ from repro.can.frame import CanFrame
 from repro.contracts.model import (Contract, RealTimeRequirement,
                                    SafetyRequirement, SecurityRequirement)
 from repro.fleet.campaign import Campaign
-from repro.fleet.vehicle import FleetSpec, generate_fleet
-from repro.mcc.acceptance import AcceptanceResult, tasksets_from_mapping
+from repro.fleet.vehicle import (_CORE_COMPONENTS, FleetSpec, FleetVehicle,
+                                 build_vehicle_platform, generate_fleet,
+                                 generate_variants, variant_contracts)
+from repro.mcc.acceptance import (AcceptanceResult, default_acceptance_tests,
+                                  tasksets_from_mapping)
+from repro.mcc.controller import MultiChangeController
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.platform.resources import NetworkResource, Platform, ProcessingResource
+from repro.platform.rte import RuntimeEnvironment
 from repro.platform.tasks import Task, TaskSet
 from repro.scenarios.fleet_campaign import build_update_contract
 from repro.sim.kernel import Simulator
@@ -299,3 +307,38 @@ def run_campaign(size, seed, *, batched=True, failure_rate=0.0, policy=None,
                         failure_injection_rate=failure_rate,
                         feedback_seed=seed, **campaign_kwargs)
     return fleet, campaign, campaign.run()
+
+
+def per_vehicle_fleet(spec: FleetSpec, analysis_cache: Optional[AnalysisCache] = None,
+                      extra_acceptance_tests=None) -> List[FleetVehicle]:
+    """The per-vehicle fleet oracle: every vehicle integrates its own baseline.
+
+    Same platforms, RTEs, acceptance batteries and controllers as
+    :func:`~repro.fleet.vehicle.generate_fleet`, but each vehicle runs the
+    whole ``add_component`` chain itself instead of adopting its variant's
+    first vehicle.  The variant-template build must match it vehicle for
+    vehicle.
+    """
+    variants = generate_variants(spec)
+    contracts_by_variant = {variant.index: variant_contracts(variant, spec)
+                            for variant in variants}
+    vehicles: List[FleetVehicle] = []
+    for index in range(spec.size):
+        variant = variants[index % len(variants)]
+        platform = build_vehicle_platform(variant, name=f"veh{index:04d}-platform")
+        rte = RuntimeEnvironment(platform) if spec.deploy else None
+        acceptance_tests = None
+        if extra_acceptance_tests is not None:
+            acceptance_tests = (default_acceptance_tests(cache=analysis_cache)
+                                + list(extra_acceptance_tests(variant, platform)))
+        mcc = MultiChangeController(platform, rte=rte,
+                                    acceptance_tests=acceptance_tests,
+                                    mapping_strategy=spec.mapping_strategy,
+                                    analysis_cache=analysis_cache)
+        for contract in contracts_by_variant[variant.index]:
+            report = mcc.add_component(contract)
+            if not report.accepted and contract.component in _CORE_COMPONENTS:
+                raise RuntimeError(
+                    f"vehicle {index} rejected its baseline: {report.summary()}")
+        vehicles.append(FleetVehicle(index, variant, platform, mcc))
+    return vehicles

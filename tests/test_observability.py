@@ -104,6 +104,42 @@ class TestTracedCampaigns:
         assert len(ends) == 1
         assert ends[0]["admitted"] == result.admitted
         assert ends[0]["waves"] == len(result.waves)
+        # Every admission says which viewpoints refused it (none if accepted).
+        admits = tracer.select("vehicle.admit")
+        assert len(admits) == result.admitted + result.rejected
+        for event in admits:
+            assert isinstance(event["failed"], list)
+            if event["accepted"]:
+                assert event["failed"] == []
+
+    def test_rejected_admission_names_the_failed_viewpoint(self):
+        from repro.contracts.language import ContractParser
+        from repro.fleet.campaign import Campaign
+        from repro.fleet.vehicle import FleetSpec, generate_fleet
+        from repro.mcc.configuration import ChangeKind, ChangeRequest
+
+        # An ASIL D update consuming the ASIL B perception service fails
+        # the safety viewpoint's ASIL-inheritance check on every vehicle.
+        contract = ContractParser().parse({
+            "component": "fusion", "timing": {"period": 0.05, "wcet": 0.002},
+            "safety": {"asil": "D"}, "security": {"level": "MEDIUM"},
+            "requires": [{"service": "object_list"}]})
+
+        def factory(vehicle):
+            return ChangeRequest(kind=ChangeKind.ADD_COMPONENT,
+                                 component=contract.component,
+                                 contract=contract)
+
+        tracer = CampaignTracer()
+        fleet = generate_fleet(FleetSpec(size=6, seed=3, num_variants=2,
+                                         extra_components=2))
+        result = Campaign(fleet, factory, batch_admission=False,
+                          tracer=tracer).run()
+        admits = tracer.select("vehicle.admit")
+        assert admits and len(admits) == result.rejected
+        for event in admits:
+            assert event["accepted"] is False
+            assert event["failed"] == ["safety"]
 
     def test_tracer_none_leaves_result_unchanged_field_for_field(self):
         fleet_a, _, traced = run_campaign(25, 7, failure_rate=0.2,
@@ -252,7 +288,7 @@ class TestDashboard:
         trace = [
             {"event": "wave.begin", "wave": 0, "t_s": 0.0},
             {"event": "vehicle.admit", "wave": 0, "vehicle": "veh0000",
-             "accepted": True, "replayed": False},
+             "accepted": True, "replayed": False, "failed": []},
             {"event": "wave.end", "wave": 0, "t_s": 0.4},
         ]
         bench = [{"name": "e10", "mode": "full", "quick_mode": False,
