@@ -146,13 +146,13 @@ class AnalysisCache:
     def analyse_many(self, tasksets: Iterable[TaskSet], speed_factor: float = 1.0,
                      event_models: Optional[Dict[str, EventModel]] = None
                      ) -> List[Dict[str, ResponseTimeResult]]:
-        """Batched lookup of a whole admission wave, in input order.
+        """Batched lookup of many task sets, in input order.
 
         Hits are answered from the store; all misses are forwarded to the
         incremental engine as **one**
         :meth:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis.analyze_many`
-        batch, so near-identical task sets within the batch (the fleet-wave
-        workload: per-vehicle perturbations of a shared baseline) reuse and
+        batch, so near-identical task sets within the batch (e.g.
+        per-vehicle perturbations of a shared baseline) reuse and
         warm-start each other even on their first analysis.  Results are
         identical to per-task-set :meth:`analyse` calls in the same order.
         """

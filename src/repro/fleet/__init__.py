@@ -9,8 +9,9 @@ two halves of that workload:
   fleet (variant-clustered platforms, scaled WCETs, differing CAN topologies
   and baseline component sets), each vehicle with its own MCC.
 * :mod:`repro.fleet.campaign` — the staged rollout description: canary and
-  percentage waves, batched admission through a shared analysis cache and
-  the incremental CPA engine, per-vehicle monitor/deviation feedback between
+  percentage waves, batched admission (identical vehicles share one
+  integration) over a shared analysis cache and the incremental CPA
+  engine, per-vehicle monitor/deviation feedback between
   waves, and halt/rollback when a wave's failure rate crosses the policy
   threshold.
 * :mod:`repro.fleet.engine` — the re-entrant wave stepper executing a

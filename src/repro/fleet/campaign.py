@@ -7,37 +7,26 @@ vehicle's own MCC, monitor feedback consumed between waves, and a policy that
 halts — and optionally rolls back — a wave whose rejection/deviation rate
 exceeds the tolerated threshold.
 
-Admission is *batched* along two axes:
-
-* **Analysis batching.**  Before a wave's vehicles integrate, the campaign
-  previews the distinct candidate task sets
-  (:meth:`~repro.mcc.integration.IntegrationProcess.preview_tasksets`) and
-  pushes them through the shared
-  :class:`~repro.analysis.cache.AnalysisCache` as one
-  :meth:`~repro.analysis.cache.AnalysisCache.analyse_many` batch, so the
-  incremental engine warm-starts near-identical vehicles off each other.
-* **Verdict dedupe.**  Vehicles whose model, platform shape and request are
-  *identical* (same variant, same adopted contract objects, same mapping
-  state) are one integration, not N: the first vehicle of each equivalence
-  group runs the full process, the rest replay its verdict and mapping
-  decision through
-  :meth:`~repro.mcc.controller.MultiChangeController.replay_change`.
-
-Both are exact — the cache is content-addressed, the engine bit-identical,
-and the equivalence grouping keys on object identity of the adopted
-contracts — so batched and sequential admission produce identical wave
-verdicts; only the wall time differs (the differential harness, the fleet
-tests and the E10 benchmarks all assert this).
+Admission is *batched* by verdict dedupe: vehicles whose model, platform
+shape and request are *identical* (same variant, same adopted contract
+objects, same mapping state) are one integration, not N.  The first vehicle
+of each equivalence group runs the full process when its turn in the wave
+comes; the rest replay its verdict and mapping decision through
+:meth:`~repro.mcc.controller.MultiChangeController.replay_change`.  The
+grouping keys on object identity of the adopted contracts, so batched and
+sequential admission produce identical wave verdicts; only the wall time
+differs (the differential harness, the fleet tests and the E10 benchmarks
+all assert this).
 
 Campaigns run in one process, one wave at a time, in wave order; the
 sequential path (``batch_admission=False``) is the reference the batched
 one is tested against.  ``cache_store`` keeps
 the derived analyses warm across runs in an append-only
-:class:`~repro.analysis.cache_store.SegmentStore` directory, and
-``checkpoint_path`` (or the in-memory :attr:`Campaign.last_checkpoint`)
-captures a halted campaign — aggregate result plus per-vehicle MCC
-snapshots at the halting wave's start — so a remediated campaign can
-:meth:`Campaign.run` with ``resume_from=`` and continue where it stopped.
+:class:`~repro.analysis.cache_store.SegmentStore` directory.  A halt leaves
+:attr:`Campaign.last_checkpoint` — aggregate result plus per-vehicle MCC
+snapshots at the halting wave's start; :meth:`CampaignCheckpoint.save`
+writes it to a file — so a remediated campaign can :meth:`Campaign.run`
+with ``resume_from=`` and continue where it stopped.
 
 Execution itself lives in :mod:`repro.fleet.engine`: this module holds the
 campaign *description* (fleet, policy, knobs, result/checkpoint types and
@@ -411,27 +400,29 @@ class Campaign:
     policy:
         Staging/halting policy.
     analysis_cache:
-        The shared cache used for batched admission.  Required when
-        ``batch_admission`` or ``cache_store`` is on; for
-        the full effect the fleet should have been generated with the same
-        cache.
+        The shared cache the campaign reports counters for and the
+        ``cache_store`` fills.  Required by ``cache_store``; it only speeds
+        admission up when the fleet was generated with the same cache
+        (the vehicles' timing viewpoints analyse through it).
     batch_admission:
-        PURPOSE: admit each wave once per equivalence group — identical
-        vehicles replay their representative's verdict, and the
-        representatives' candidate analyses go through
-        ``analysis_cache.analyse_many`` as one prefetch batch.  Verdicts
-        equal sequential admission's byte for byte.
+        PURPOSE: admit each wave once per equivalence group — the first
+        vehicle of a group runs the full integration, identical vehicles
+        replay its verdict.  Verdicts equal sequential admission's byte
+        for byte.
 
-        WHEN TO USE: fleets with many vehicles per variant.  The
-        fleet-rollout benchmark workload replays 992 of its 1,000
-        admissions; the E10-parallel record times 500 vehicles of 8
-        variants at 0.061 s batched against 0.554 s sequential.
+        WHEN TO USE: by default.  Fleets with many vehicles per variant
+        gain most: the fleet-rollout benchmark workload replays 992 of its
+        1,000 admissions; the E10-parallel record times 500 vehicles of 8
+        variants at 0.061 s batched against 0.554 s sequential.  Where
+        nothing dedupes it costs one key per vehicle: on update-series
+        inputs (240 one-vehicle variants, 8 campaigns, same shared cache,
+        wall seconds on 2 vCPUs, seeds 9001 and 101–105) batched series
+        took 2.40 / 2.30 / 2.24 / 1.74 / 1.90 / 1.78 s against 2.42 /
+        2.62 / 2.32 / 1.95 / 1.95 / 1.59 s sequential.
 
-        WHEN NOT TO USE: fleets where nearly every vehicle is its own
-        variant.  Nothing dedupes and the prefetch is extra work: on the
-        update-series workload (240 one-vehicle variants) the baseline
-        notes in ``perfbench/NOTES.md`` time batched campaigns at 2.98 /
-        3.31 / 4.18 s against 2.31 / 3.15 / 2.63 s sequential.
+        WHEN NOT TO USE: as the reference.  ``batch_admission=False``
+        (with no shared cache) is the sequential path every differential
+        test and the benchmark oracle compare batched admission against.
     failure_injection_rate:
         Probability that an updated vehicle's observed execution time exceeds
         its contracted budget (simulated field failure).
@@ -439,16 +430,6 @@ class Campaign:
         Seed of the simulated monitor feedback stream; per-vehicle draws are
         derived from it and the vehicle index, so feedback is identical for
         batched and sequential admission.
-    checkpoint_path:
-        PURPOSE: where to write a :class:`CampaignCheckpoint` when the
-        campaign halts (also kept in memory as :attr:`last_checkpoint`).
-
-        WHEN TO USE: a halted rollout must be resumable after remediation
-        by another process or a later run (``run(resume_from=...)``).
-
-        WHEN NOT TO USE: the halt is handled in the same process — resume
-        from :attr:`last_checkpoint` and skip the file write.  Unavailable
-        together with ``adversity``.
     cache_store:
         PURPOSE: a durable, crash-safe
         :class:`~repro.analysis.cache_store.SegmentStore` directory that
@@ -508,14 +489,11 @@ class Campaign:
                  batch_admission: bool = True,
                  failure_injection_rate: float = 0.0,
                  feedback_seed: int = 0,
-                 checkpoint_path: Optional[str] = None,
                  cache_store: Optional[str] = None,
                  adversity: Optional[AdversityModel] = None,
                  tracer: Optional[CampaignTracer] = None) -> None:
         if not 0.0 <= failure_injection_rate <= 1.0:
             raise CampaignError("failure_injection_rate must be in [0, 1]")
-        if batch_admission and analysis_cache is None:
-            raise CampaignError("batched admission needs a shared analysis cache")
         if cache_store is not None and analysis_cache is None:
             raise CampaignError("cache_store needs an analysis cache to share")
         self.vehicles = list(vehicles)
@@ -525,11 +503,12 @@ class Campaign:
         self.batch_admission = batch_admission
         self.failure_injection_rate = failure_injection_rate
         self.feedback_seed = feedback_seed
-        self.checkpoint_path = checkpoint_path
         self.cache_store = cache_store
         self.adversity = adversity
         self.tracer = tracer
-        #: The checkpoint written at the most recent halt (None before).
+        #: The checkpoint built at the most recent halt (None before); save
+        #: it with :meth:`CampaignCheckpoint.save` to resume in another
+        #: process.  Adversity campaigns never build one.
         self.last_checkpoint: Optional[CampaignCheckpoint] = None
         #: One-shot latch of :meth:`run` (see its docstring).
         self._ran = False

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.cache_store import SegmentStore
 from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
                                   CampaignResult, WaveRecord, plan_waves)
@@ -71,6 +72,18 @@ def _copy_result(source: CampaignResult) -> CampaignResult:
                    waves=[replace(record,
                                   vehicle_ids=list(record.vehicle_ids))
                           for record in source.waves])
+
+
+def _engine_counters(cache: AnalysisCache) -> Tuple[int, int]:
+    """``(reused, analysed)`` task counts of the cache's incremental engine.
+
+    The same split as
+    :attr:`~repro.analysis.incremental.IncrementalResponseTimeAnalysis.reuse_rate`,
+    kept as counts so a run can report the rate of its own deltas.
+    """
+    engine = cache.engine
+    return (engine.tasks_reused + engine.divergences_reused,
+            engine.tasks_analysed)
 
 
 @dataclass
@@ -98,9 +111,10 @@ class CampaignState:
     ``result``
         The running aggregate; :meth:`CampaignEngine.finalize` stamps the
         cache counters onto it and returns it.
-    ``hits_before`` / ``misses_before``
-        Shared-cache counter baselines taken at engine construction, so
-        ``result`` reports this run's cache traffic only.
+    ``hits_before`` / ``misses_before`` / ``reused_before`` / ``analysed_before``
+        Shared-cache and incremental-engine counter baselines taken at
+        engine construction, so ``result`` reports this run's cache traffic
+        and engine reuse only.
     """
 
     wave_index: int = 0
@@ -111,6 +125,8 @@ class CampaignState:
         default_factory=lambda: CampaignResult(fleet_size=0, batched=False))
     hits_before: int = 0
     misses_before: int = 0
+    reused_before: int = 0
+    analysed_before: int = 0
 
 
 class CampaignEngine:
@@ -195,11 +211,13 @@ class CampaignEngine:
         # resumed run reports the resumed waves', not the halted run's).
         self.state = CampaignState(
             wave_index=start_wave, start_wave=start_wave, carry=[],
-            stalled_waves=0, result=result,
-            hits_before=campaign.analysis_cache.hits
-            if campaign.analysis_cache else 0,
-            misses_before=campaign.analysis_cache.misses
-            if campaign.analysis_cache else 0)
+            stalled_waves=0, result=result)
+        cache = campaign.analysis_cache
+        if cache is not None:
+            self.state.hits_before = cache.hits
+            self.state.misses_before = cache.misses
+            self.state.reused_before, self.state.analysed_before = \
+                _engine_counters(cache)
 
     # -- stepping ----------------------------------------------------------
 
@@ -289,29 +307,15 @@ class CampaignEngine:
                 request = campaign.adversity.transform_request(
                     vehicle, request, wave_index)
             requests.append(request)
-        keys: List[Optional[Tuple]] = [None] * len(requests)
-        rep_positions: List[int] = []
-        if campaign.batch_admission:
-            # Keys are stable for the whole wave: a vehicle's model only
-            # changes when its own request is admitted, and adoption
-            # happens strictly after the dedupe pass.
-            seen_new = set()
-            for position, (vehicle, request) in enumerate(zip(wave,
-                                                              requests)):
-                key = self._equivalence_key(vehicle, request)
-                keys[position] = key
-                if key not in self.precedents and key not in seen_new:
-                    seen_new.add(key)
-                    rep_positions.append(position)
-            self._prefetch_wave([(wave[p], requests[p])
-                                 for p in rep_positions])
         admitted: List[Tuple[FleetVehicle, ChangeRequest, MccSnapshot]] = []
         pre_wave: Dict[str, MccSnapshot] = {}
-        for vehicle, request, key in zip(wave, requests, keys):
+        for vehicle, request in zip(wave, requests):
             snapshot = vehicle.mcc.snapshot()
             pre_wave[vehicle.vehicle_id] = snapshot
             replayed = False
             if campaign.batch_admission:
+                # Keyed before request_change, which changes the model.
+                key = self._equivalence_key(vehicle, request)
                 precedent = self.precedents.get(key)
                 if precedent is None:
                     self.pinned.append(request.contract)
@@ -374,12 +378,6 @@ class CampaignEngine:
             if campaign.adversity is None:
                 campaign.last_checkpoint = self._build_checkpoint(
                     wave_index, result, wave, pre_wave)
-                if campaign.checkpoint_path is not None:
-                    campaign.last_checkpoint.save(campaign.checkpoint_path)
-                    if campaign.tracer is not None:
-                        campaign.tracer.emit("checkpoint.save",
-                                             wave=wave_index,
-                                             path=campaign.checkpoint_path)
         else:
             state.wave_index += 1
         return record
@@ -402,12 +400,16 @@ class CampaignEngine:
             # what this run derived, so re-runs warm-start from it.
             self._absorb_store()
             self._publish_store()
-        if campaign.analysis_cache is not None:
-            result.cache_hits = campaign.analysis_cache.hits \
-                - self.state.hits_before
-            result.cache_misses = campaign.analysis_cache.misses \
-                - self.state.misses_before
-            result.engine_reuse_rate = campaign.analysis_cache.engine.reuse_rate
+        cache = campaign.analysis_cache
+        if cache is not None:
+            state = self.state
+            result.cache_hits = cache.hits - state.hits_before
+            result.cache_misses = cache.misses - state.misses_before
+            reused, analysed = _engine_counters(cache)
+            reused -= state.reused_before
+            analysed -= state.analysed_before
+            result.engine_reuse_rate = reused / (reused + analysed) \
+                if reused + analysed else 0.0
         if campaign.tracer is not None:
             campaign.tracer.emit("campaign.end", admitted=result.admitted,
                                  rejected=result.rejected,
@@ -469,30 +471,6 @@ class CampaignEngine:
         return checkpoint
 
     # -- wave internals ----------------------------------------------------
-
-    def _prefetch_wave(self,
-                       representatives: Sequence[Tuple[FleetVehicle,
-                                                       ChangeRequest]]) -> None:
-        """Warm the shared cache with the representatives' candidate analyses.
-
-        Only the vehicles that will actually run a full integration are
-        previewed (one per equivalence group); the batch goes through
-        ``analyse_many`` so representatives of *different* variants
-        warm-start off each other in the incremental engine.  The prefetch is
-        only a warm-up — a skipped preview costs cache misses, never a
-        different verdict.
-        """
-        cache = self.campaign.analysis_cache
-        assert cache is not None
-        tasksets = []
-        for vehicle, request in representatives:
-            preview = vehicle.mcc.process.preview_tasksets(vehicle.mcc.model,
-                                                           request)
-            if preview is None:
-                continue  # rejected before the acceptance phase; nothing to warm
-            tasksets.extend(taskset for _, taskset in sorted(preview.items()))
-        if tasksets:
-            cache.analyse_many(tasksets)
 
     @staticmethod
     def _equivalence_key(vehicle: FleetVehicle, request: ChangeRequest) -> Tuple:

@@ -58,9 +58,9 @@ def tasksets_from_mapping(contracts: List[Contract], mapping: Dict[str, str],
     """Build per-processor task sets from a candidate configuration.
 
     This is exactly the derivation the timing acceptance test performs, so
-    callers that want to *prefetch* analyses (e.g. batched fleet-wave
-    admission) can compute the same task sets — and therefore the same cache
-    fingerprints — ahead of the acceptance run.
+    callers that want to analyse ahead of the acceptance run (e.g.
+    :meth:`~repro.mcc.integration.IntegrationProcess.preview_tasksets`)
+    compute the same task sets — and therefore the same cache keys.
     """
     tasksets: Dict[str, TaskSet] = {}
     for contract in contracts:

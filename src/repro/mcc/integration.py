@@ -114,10 +114,10 @@ class IntegrationProcess:
         :meth:`integrate` on a scratch copy, without any acceptance test.
         Returns ``None`` when the request would be rejected before the
         acceptance phase (invalid change, contract problems, mapping
-        failure).  Batched admission uses this to warm a shared
-        :class:`~repro.analysis.cache.AnalysisCache` for a whole wave of
-        requests before the individual integrations run — the fingerprints
-        match because the derivation is identical.
+        failure).  The task sets equal the ones :meth:`integrate` analyses,
+        so a caller can analyse them ahead of it through a shared
+        :class:`~repro.analysis.cache.AnalysisCache` and the integration
+        hits.  Campaigns do not: each integration maps once, in place.
         """
         candidate = model.candidate()
         try:

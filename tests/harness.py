@@ -291,16 +291,19 @@ def fleet_digest(fleet):
 
 
 def run_campaign(size, seed, *, batched=True, failure_rate=0.0, policy=None,
-                 num_variants=4, **campaign_kwargs):
+                 num_variants=4, shared_cache=None, **campaign_kwargs):
     """Generate a fleet and run one campaign over it.
 
     ``batched=False`` is the sequential-admission oracle: no shared cache,
-    every vehicle integrates on its own.  Returns ``(fleet, campaign,
-    result)``.
+    every vehicle integrates on its own.  ``shared_cache`` overrides whether
+    fleet and campaign share one analysis cache (default: when batched).
+    Returns ``(fleet, campaign, result)``.
     """
     spec = FleetSpec(size=size, seed=seed, num_variants=num_variants,
                      extra_components=2)
-    cache = AnalysisCache() if batched else None
+    if shared_cache is None:
+        shared_cache = batched
+    cache = AnalysisCache() if shared_cache else None
     fleet = generate_fleet(spec, analysis_cache=cache)
     campaign = Campaign(fleet, make_factory(), policy=policy,
                         analysis_cache=cache, batch_admission=batched,

@@ -20,8 +20,6 @@ model, and the resume/adversity exclusion.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,8 +28,8 @@ from repro.analysis.cache import AnalysisCache
 from repro.fleet.adversity import (MONITOR_PEER, AdversityModel,
                                    IntrusionAdversity, LossyDeliveryAdversity,
                                    ThermalAdversity)
-from repro.fleet.campaign import (Campaign, CampaignError, WavePolicy,
-                                  plan_waves)
+from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
+                                  WavePolicy, plan_waves)
 from repro.fleet.vehicle import FleetSpec, generate_fleet
 from repro.mcc.configuration import ChangeKind, ChangeRequest
 from repro.scenarios.fleet_campaign import build_update_contract
@@ -102,21 +100,21 @@ class TestNoOpAdversity:
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
                             analysis_cache=cache,
-                            failure_injection_rate=1.0, feedback_seed=3,
-                            checkpoint_path=checkpoint_path)
+                            failure_injection_rate=1.0, feedback_seed=3)
         halted = campaign.run()
         assert halted.halted and campaign.last_checkpoint is not None
+        campaign.last_checkpoint.save(checkpoint_path)
         resumed_campaign = Campaign(fleet, make_factory(), policy=policy,
                                     analysis_cache=cache,
                                     feedback_seed=3,
                                     adversity=LossyDeliveryAdversity(0.5))
         with pytest.raises(CampaignError, match="adversity"):
-            resumed_campaign.run(resume_from=campaign.last_checkpoint)
+            resumed_campaign.run(
+                resume_from=CampaignCheckpoint.load(checkpoint_path))
 
-    def test_halt_under_adversity_writes_no_checkpoint(self, tmp_path):
+    def test_halt_under_adversity_writes_no_checkpoint(self):
         """Adverse campaigns cannot be checkpoint-resumed (the adversity
         state is not snapshotted), so a halt must not leave a checkpoint."""
-        checkpoint_path = str(tmp_path / "adverse.ckpt")
         policy = WavePolicy(canary_size=2, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.0)
         adversity = IntrusionAdversity(compromise_rate=1.0,
@@ -126,12 +124,10 @@ class TestNoOpAdversity:
         fleet = generate_fleet(spec, analysis_cache=cache)
         campaign = Campaign(fleet, make_factory(), policy=policy,
                             analysis_cache=cache, feedback_seed=5,
-                            adversity=adversity,
-                            checkpoint_path=checkpoint_path)
+                            adversity=adversity)
         result = campaign.run()
         assert result.halted
         assert campaign.last_checkpoint is None
-        assert not os.path.exists(checkpoint_path)
 
 
 class TestSequentialParity:

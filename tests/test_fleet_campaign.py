@@ -4,10 +4,10 @@ the E10 scenario.
 
 The load-bearing guarantee of batched admission is *byte-identical
 results*: for any fleet, any staging policy and any failure injection,
-batched admission (dedupe, prefetch, optional batch kernel and segment
-store) must produce the same wave records and the same per-vehicle rollout
-state as sequential per-vehicle admission — including campaigns that halt
-mid-rollout.  A hypothesis-seeded differential harness pins that.
+batched admission (dedupe, with or without a shared analysis cache and
+segment store) must produce the same wave records and the same per-vehicle
+rollout state as sequential per-vehicle admission — including campaigns
+that halt mid-rollout.  A hypothesis-seeded differential harness pins that.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
@@ -28,6 +28,8 @@ from repro.fleet.campaign import (Campaign, CampaignCheckpoint, CampaignError,
 from repro.fleet.vehicle import (FleetSpec, FleetVehicle, generate_fleet,
                                  generate_variants, variant_contracts)
 from repro.mcc.configuration import ChangeKind, ChangeRequest
+from repro.mcc.controller import MultiChangeController
+from repro.mcc.mapping import MappingEngine
 from repro.scenarios.fleet_campaign import (build_update_contract,
                                             run_fleet_campaign_scenario)
 
@@ -335,16 +337,59 @@ class TestCampaign:
         assert result.cache_hits == cache.hits - hits_before
         assert result.cache_misses == cache.misses - misses_before
 
+    def test_engine_reuse_rate_reports_campaign_work_only(self):
+        """Like the cache counters, the engine reuse rate is this run's: the
+        incremental work of fleet provisioning on the same cache is not
+        part of it."""
+        cache = AnalysisCache()
+        fleet = generate_fleet(FleetSpec(size=40, seed=3, num_variants=8,
+                                         extra_components=4),
+                               analysis_cache=cache)
+        engine = cache.engine
+        reused_before = engine.tasks_reused + engine.divergences_reused
+        analysed_before = engine.tasks_analysed
+        assert engine.reuse_rate > 0.0  # provisioning reused some tasks
+        result = Campaign(fleet, update_factory_for(), analysis_cache=cache).run()
+        reused = engine.tasks_reused + engine.divergences_reused - reused_before
+        analysed = engine.tasks_analysed - analysed_before
+        assert analysed > 0
+        assert result.engine_reuse_rate == reused / (reused + analysed)
+
+    def test_each_representative_is_mapped_once(self, monkeypatch):
+        """Batched admission maps a wave representative once, inside its own
+        integration: one ``MappingEngine.map`` per ``request_change``."""
+        calls = {"map": 0, "request_change": 0}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        cache = AnalysisCache()
+        fleet = generate_fleet(small_spec(size=12, num_variants=12),
+                               analysis_cache=cache)
+        monkeypatch.setattr(MappingEngine, "map",
+                            counting("map", MappingEngine.map))
+        monkeypatch.setattr(
+            MultiChangeController, "request_change",
+            counting("request_change", MultiChangeController.request_change))
+        result = Campaign(fleet, update_factory_for(), analysis_cache=cache,
+                          batch_admission=True).run()
+        assert result.admitted + result.rejected == len(fleet)
+        assert calls["request_change"] == len(fleet)  # nothing to replay
+        assert calls["map"] == calls["request_change"]
+
     def test_campaign_validation(self):
-        with pytest.raises(CampaignError):
-            Campaign([], update_factory_for(), analysis_cache=None,
-                     batch_admission=True)
         with pytest.raises(CampaignError):
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      failure_injection_rate=2.0)
         with pytest.raises(TypeError, match="batch_kernel"):
             Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
                      batch_kernel=True)  # removed knob
+        with pytest.raises(TypeError, match="checkpoint_path"):
+            Campaign([], update_factory_for(), analysis_cache=AnalysisCache(),
+                     checkpoint_path="halt.ckpt")  # removed knob
 
 
 class TestSequentialDifferential:
@@ -392,21 +437,25 @@ class TestSequentialDifferential:
                                      HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(min_value=0, max_value=10_000),
            failure_rate=st.sampled_from([0.0, 0.4]),
-           store=st.booleans())
+           medium=st.sampled_from(["cache", "store", "no-cache"]))
+    @example(seed=0, failure_rate=0.4, medium="no-cache")
     def test_differential_random_knobs(self, tmp_path, seed, failure_rate,
-                                       store):
-        """Random warm-start-medium choices may never change a verdict
-        relative to sequential admission."""
+                                       medium):
+        """Random warm-start-medium choices — a shared cache, a cache plus
+        a segment store, or batched dedupe with no cache at all — may never
+        change a verdict relative to sequential admission."""
         policy = WavePolicy(canary_size=1, wave_fractions=(0.5, 1.0),
                             max_failure_rate=0.25)
         fleet_seq, _, sequential = run_campaign(10, seed, batched=False,
                                                 failure_rate=failure_rate,
                                                 policy=policy)
-        media = {"cache_store": str(tmp_path / f"store-{seed}")} \
-            if store else {}
-        fleet_bat, _, batched = run_campaign(10, seed,
-                                             failure_rate=failure_rate,
-                                             policy=policy, **media)
+        media = {"store": {"cache_store": str(tmp_path / f"store-{seed}")},
+                 "no-cache": {"shared_cache": False}}.get(medium, {})
+        fleet_bat, campaign, batched = run_campaign(10, seed,
+                                                    failure_rate=failure_rate,
+                                                    policy=policy, **media)
+        assert campaign.batch_admission
+        assert (campaign.analysis_cache is None) == (medium == "no-cache")
         assert campaign_digest(batched) == campaign_digest(sequential)
         assert fleet_digest(fleet_bat) == fleet_digest(fleet_seq)
 
@@ -458,11 +507,10 @@ class TestCheckpointResume:
     def _halting_setup(self, tmp_path):
         checkpoint_path = os.path.join(tmp_path, "campaign.ckpt")
         fleet, campaign, halted = run_campaign(
-            18, 1, failure_rate=0.4, policy=self.POLICY_STRICT,
-            checkpoint_path=checkpoint_path)
+            18, 1, failure_rate=0.4, policy=self.POLICY_STRICT)
         assert halted.halted
-        assert os.path.exists(checkpoint_path)
         assert campaign.last_checkpoint is not None
+        campaign.last_checkpoint.save(checkpoint_path)
         return fleet, halted, checkpoint_path
 
     def test_resume_reaches_reference_result(self, tmp_path):

@@ -94,7 +94,7 @@ class TestTracedCampaigns:
         tracer = CampaignTracer(path=str(tmp_path / "trace.jsonl"))
         _, _, result = run_campaign(40, 2, tracer=tracer)
         kinds = {event["event"] for event in tracer.events}
-        assert {"campaign.begin", "wave.begin", "cache.analyse_many",
+        assert {"campaign.begin", "wave.begin", "cache.analyse",
                 "vehicle.admit", "feedback.observe", "wave.end",
                 "campaign.end"} <= kinds
         # The campaign flushed at run end without an explicit close.
